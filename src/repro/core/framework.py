@@ -18,6 +18,7 @@ work.  Timing lives in :mod:`repro.core.solver`, not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional
 
 from repro.calib.constants import CPU, FRAMEWORK
@@ -31,8 +32,7 @@ from repro.faults.plan import FaultInjector
 from repro.faults.recovery import CircuitBreaker, RetryPolicy, Watchdog
 from repro.hw.gpu import GPUDevice
 from repro.core.slowpath import SlowPathHandler
-from repro.io_engine.rss import RSSHasher
-from repro.net.packet import parse_packet
+from repro.io_engine.rss import steer
 from repro.obs import (
     BATCH_SIZE_BUCKETS,
     Events,
@@ -223,12 +223,6 @@ class PacketShader:
         }
         self.watchdog = Watchdog()
         self._rr_worker: Dict[int, int] = {n.node_id: 0 for n in self.nodes}
-        # One RSS indirection per node, mapping flows onto the node's
-        # workers only (the NUMA-aware steering of Section 4.5).
-        self._rss: Dict[int, RSSHasher] = {
-            n.node_id: RSSHasher(queue_map=list(range(len(n.workers))))
-            for n in self.nodes
-        }
 
     # ------------------------------------------------------------------
     # Ingress.
@@ -248,28 +242,6 @@ class PacketShader:
             raise ValueError(f"port {port} out of range")
         return node
 
-    def _worker_of_frame(self, frame: bytearray, node: _Node) -> _Worker:
-        """RSS worker selection: flows stick to one worker (Section 4.4).
-
-        Frames carrying a 5-tuple hash to a worker of the ingress node
-        (the NUMA-steered RSS of Section 4.5: local-node queues only);
-        non-IP frames fall back to round-robin.  Flow stickiness is what
-        preserves intra-flow packet order end to end (Section 5.3).
-        """
-        flow = None
-        try:
-            flow = parse_packet(bytes(frame)).five_tuple()
-        except ValueError:
-            pass
-        if flow is None:
-            worker = node.workers[self._rr_worker[node.node_id]]
-            self._rr_worker[node.node_id] = (
-                self._rr_worker[node.node_id] + 1
-            ) % len(node.workers)
-            return worker
-        hasher = self._rss[node.node_id]
-        return node.workers[hasher.queue_for(flow)]
-
     def _chunks_from(self, frames: List[bytearray], in_port: int) -> List[Chunk]:
         """Distribute ingress frames to workers by RSS, then chunk.
 
@@ -277,20 +249,18 @@ class PacketShader:
         arrival order is preserved (the RX queue is a FIFO).
         """
         node = self.nodes[self.node_of_port(in_port)]
-        per_worker: Dict[int, List[bytearray]] = {}
-        # RSS distribution is per-packet by design: each frame's flow
-        # tuple is extracted and hashed, as the NIC would.
-        for frame in frames:  # reprolint: ignore[RL006]
-            worker = self._worker_of_frame(frame, node)
-            per_worker.setdefault(worker.worker_id, []).append(frame)
+        # Local-node workers only: the NUMA-aware steering of Section 4.5.
+        queues, self._rr_worker[node.node_id] = steer(
+            frames, len(node.workers), self._rr_worker[node.node_id]
+        )
         chunks = []
         cap = self.effective_chunk_capacity()
         # Chunks built here (process_frames, no I/O engine) anchor
         # their trace context at the recorder's current seq: the most
         # recent event in flight when the batch entered the router.
         ctx = (self.flightrec.writer_id, self.flightrec.seq)
-        for worker in node.workers:
-            share = per_worker.get(worker.worker_id, [])
+        for index, worker in enumerate(node.workers):
+            share = list(compress(frames, queues == index))
             for start in range(0, len(share), cap):
                 chunk = Chunk(
                     frames=share[start:start + cap],

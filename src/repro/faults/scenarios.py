@@ -351,8 +351,8 @@ def run_scenario(
 
     ``shard=(k, n)`` runs shard *k* of an *n*-way RSS decomposition
     (docs/SHARDING.md): the identical full stream is generated, then
-    filtered to the flows :class:`~repro.io_engine.rss.ShardMap`
-    assigns to shard ``k`` before injection.  The union of all ``n``
+    filtered to the frames :func:`~repro.io_engine.rss.steer` sends to
+    shard ``k`` (via a :class:`ShardMap`) before injection.  The union of all ``n``
     shard runs injects exactly the unsharded stream, so summed shard
     reports satisfy the same conservation identities — what the
     sharded differential suite asserts.  Whole-stream extras

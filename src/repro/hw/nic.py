@@ -128,10 +128,10 @@ class NICPort:
     """One 10 GbE port with multiple core-aware RX/TX queue pairs.
 
     ``num_queues`` RX and TX queues, one pair per serving CPU core
-    (Section 4.4).  Incoming frames are spread by RSS; the
-    :class:`repro.io_engine.rss.RSSHasher` computes the Toeplitz hash and
-    this port maps ``hash % num_queues`` to a queue, as the 82599 does with
-    its indirection table.
+    (Section 4.4).  Incoming frames are spread by RSS:
+    :func:`repro.io_engine.rss.steer` maps each frame's Toeplitz hash to
+    queue ``hash % num_queues``, as the 82599 does with its indirection
+    table; :meth:`receive` takes a hash or an already reduced queue index.
     """
 
     def __init__(

@@ -10,13 +10,23 @@ Calculation" documentation pass against this implementation.
 Flow affinity — all packets of one flow land in one queue, preserving
 intra-flow order (Section 5.3) — follows from the hash being a pure
 function of the tuple.
+
+:func:`steer` is the one steering path (testbed NIC, router, ShardMap);
+:class:`RSSHasher` is the bit-serial reference the tests check it against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import List, Sequence, Tuple
 
-from repro.net.packet import FiveTuple, PacketParseError, parse_packet
+import numpy as np
+
+from repro.net.frames import FrameBatch
+from repro.net.ipv4 import PROTO_TCP, PROTO_UDP
+from repro.net.packet import FiveTuple
+from repro.net.tcp import TCP_HEADER_LEN
+from repro.net.udp import UDP_HEADER_LEN
 
 #: The de-facto standard 40-byte RSS secret key from the Microsoft RSS
 #: specification; drivers (including ixgbe) ship it as the default.
@@ -100,60 +110,92 @@ class RSSHasher:
         return self.queue_map[self.hash_flow(flow) % len(self.queue_map)]
 
 
+def _toeplitz_rows(width: int) -> np.ndarray:
+    """``rows[i, b]``: the Toeplitz hash of byte value ``b`` at input byte ``i``.
+
+    Toeplitz is linear over GF(2), so an input's hash is the XOR of its
+    bytes' rows: one table gather per input byte hashes a whole batch.
+    """
+    key_bits = int.from_bytes(MICROSOFT_RSS_KEY, "big")
+    last = len(MICROSOFT_RSS_KEY) * 8 - 32
+    windows = np.array(
+        [(key_bits >> (last - bit)) & 0xFFFFFFFF for bit in range(width * 8)],
+        dtype=np.uint32,
+    ).reshape(width, 1, 8)
+    # bits[b, j]: bit j (MSB first) of byte value b picks window 8i + j.
+    bits = ((np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1) == 1
+    return np.bitwise_xor.reduce(np.where(bits, windows, np.uint32(0)), axis=2)
+
+
+#: Per IP family: EtherType, (mask, value) of byte 14 (the version, and
+#: IHL 5 for IPv4), protocol byte, first address byte, L4 offset, and the
+#: Toeplitz rows of the tuple — the address pair (up to L4) and 4 port bytes.
+_FAMILIES = (
+    (0x0800, 0xFF, 0x45, 23, 26, 34, _toeplitz_rows(12)),
+    (0x86DD, 0xF0, 0x60, 20, 22, 54, _toeplitz_rows(36)),
+)
+
+
+def steer(frames: Sequence, num_queues: int, rr: int) -> Tuple[np.ndarray, int]:
+    """RSS queue of every frame, and the round-robin counter to carry on.
+
+    A frame hashes exactly when ``parse_packet(frame).five_tuple()``
+    returns a tuple: IPv4 (at least 34 bytes, byte 14 == 0x45) or IPv6
+    (at least 54 bytes, version 6), unless it is TCP with 20 L4 bytes
+    and a data offset below 5.  UDP (8 L4 bytes) and TCP (20) hash their
+    ports, anything else ports 0; the queue is ``hash % num_queues``.
+    The ``k``-th frame that does not hash goes to ``(rr + k) %
+    num_queues``; the returned counter is ``rr`` plus their count.
+    """
+    batch = FrameBatch.from_frames(frames)
+    queues = np.full(len(batch), -1, dtype=np.int64)
+    for ethertype, vmask, version, proto_at, addr_at, l4, rows in _FAMILIES:
+        proto = batch.byte_at(proto_at)
+        l4_len = batch.lengths - l4
+        tcp = (proto == PROTO_TCP) & (l4_len >= TCP_HEADER_LEN)
+        ports = tcp | ((proto == PROTO_UDP) & (l4_len >= UDP_HEADER_LEN))
+        # A TCP data offset below 5 words fails the parse: no tuple.
+        indices = np.flatnonzero(
+            batch.ethertype_is(ethertype)
+            & (l4_len >= 0)
+            & ((batch.byte_at(14) & vmask) == version)
+            & ~(tcp & ((batch.byte_at(l4 + 12) >> 4) < 5))
+        )
+        with_ports = ports[indices]
+        data = np.zeros((len(indices), len(rows)), dtype=np.uint8)
+        data[:, :-4] = batch.gather(indices, addr_at, l4 - addr_at)
+        data[with_ports, -4:] = batch.gather(indices[with_ports], l4, 4)
+        hashes = np.bitwise_xor.reduce(rows[np.arange(len(rows)), data], axis=1)
+        queues[indices] = hashes % num_queues
+    spill = np.flatnonzero(queues < 0)
+    queues[spill] = (rr + np.arange(len(spill))) % num_queues
+    return queues, rr + len(spill)
+
+
 class ShardMap:
     """RSS flow steering lifted to worker *processes* (docs/SHARDING.md).
 
     The sharded data plane assigns each flow to exactly one worker
     process the same way the NIC assigns flows to RX queues: Toeplitz
-    hash of the 5-tuple, modulo the shard count.  Flow affinity is the
-    correctness keystone — every packet of a flow is pre-shaded,
-    shaded, and post-shaded by one worker, so per-flow state (flow
-    tables, reordering) never crosses a process boundary.
+    hash of the 5-tuple, modulo the shard count (:func:`steer`).  Flow
+    affinity is the correctness keystone — every packet of a flow is
+    pre-shaded, shaded, and post-shaded by one worker, so per-flow state
+    (flow tables, reordering) never crosses a process boundary.
 
     Frames that carry no 5-tuple (ARP, malformed L3, unknown
-    EtherTypes) cannot hash; they fall back to a deterministic
-    round-robin over shards via an internal counter, so chaos traffic
+    EtherTypes) cannot hash; they round-robin over shards from
+    :attr:`fallbacks`, a counter carried across calls, so chaos traffic
     spreads evenly *and* a sequential re-partition of the same frame
     stream lands every frame on the same shard — the property the
     differential suite leans on.
     """
 
-    def __init__(self, num_shards: int, key: bytes = MICROSOFT_RSS_KEY) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.num_shards = num_shards
-        self._hasher = RSSHasher(queue_map=range(num_shards), key=key)
-        #: Hash memo: 5-tuples repeat heavily (flows), the Toeplitz
-        #: inner loop is bit-serial; caching makes steering O(1) per
-        #: packet after a flow's first frame.
-        self._cache: Dict[Tuple[int, int, int, int, int, bool], int] = {}
-        #: Round-robin state for unhashable frames (see class docstring).
+        #: Unhashable frames seen so far: the round-robin counter.
         self.fallbacks = 0
-
-    def shard_of_flow(self, flow: FiveTuple) -> int:
-        """The owning shard of a flow (pure, memoised)."""
-        memo_key = (
-            flow.src_ip, flow.dst_ip, flow.src_port, flow.dst_port,
-            flow.protocol, flow.is_ipv6,
-        )
-        shard = self._cache.get(memo_key)
-        if shard is None:
-            shard = self._hasher.hash_flow(flow) % self.num_shards
-            self._cache[memo_key] = shard
-        return shard
-
-    def shard_of_frame(self, frame) -> int:
-        """The owning shard of a raw frame (round-robin if unhashable)."""
-        flow: Optional[FiveTuple]
-        try:
-            flow = parse_packet(bytes(frame)).five_tuple()
-        except PacketParseError:
-            flow = None
-        if flow is None:
-            shard = self.fallbacks % self.num_shards
-            self.fallbacks += 1
-            return shard
-        return self.shard_of_flow(flow)
 
     def partition(self, frames: Sequence) -> List[List]:
         """Split a frame stream into per-shard sub-streams.
@@ -161,7 +203,8 @@ class ShardMap:
         Relative order within each shard matches arrival order — the
         intra-flow ordering RSS guarantees (Section 5.3).
         """
-        shards: List[List] = [[] for _ in range(self.num_shards)]
-        for frame in frames:  # reprolint: ignore[RL006]
-            shards[self.shard_of_frame(frame)].append(frame)
-        return shards
+        queues, self.fallbacks = steer(frames, self.num_shards, self.fallbacks)
+        return [
+            list(compress(frames, queues == shard))
+            for shard in range(self.num_shards)
+        ]

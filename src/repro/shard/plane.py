@@ -3,7 +3,7 @@
 The paper's Figure 9 collaboration lifted onto real OS processes
 (docs/SHARDING.md): each worker process runs the full worker side of
 the pipeline — RX chunking, pre-shading, post-shading — over the flows
-RSS assigns to its shard (:class:`repro.io_engine.rss.ShardMap`), and
+RSS assigns to its shard (:func:`repro.io_engine.rss.steer`), and
 the master process (the parent) gathers pre-shaded chunks from all
 workers, batches the GPU launches, and scatters results back to each
 worker's private result queue.
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as _stdlib_queue
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -234,22 +235,34 @@ def _build_app(spec: PlaneSpec):
     raise ValueError(f"unknown app {spec.app!r}")
 
 
-def shard_bursts(spec: PlaneSpec, shard: int) -> List[List[bytearray]]:
+def shard_bursts(spec: PlaneSpec, shard: int, burst_fn) -> List[List[bytearray]]:
     """One shard's sub-stream: the full stream, RSS-partitioned.
 
-    A single :class:`ShardMap` persists across bursts so the
+    ``burst_fn`` is a fresh :func:`_build_app` burst function for
+    ``spec``.  A single :class:`ShardMap` persists across bursts so the
     round-robin fallback for unhashable frames stays globally
     deterministic — re-partitioning the same stream always lands every
     frame on the same shard.
     """
     from repro.io_engine.rss import ShardMap
 
-    _, burst_fn = _build_app(spec)
     shard_map = ShardMap(spec.workers)
-    own: List[List[bytearray]] = []
-    for _ in range(spec.bursts):
-        own.append(shard_map.partition(burst_fn())[shard])
-    return own
+    return [shard_map.partition(burst_fn())[shard] for _ in range(spec.bursts)]
+
+
+def _count_egress(counts: Counter, egress: Dict[int, List]) -> None:
+    """Add one round's per-port egress frame counts."""
+    counts.update({port: len(frames) for port, frames in egress.items()})
+
+
+def _worker_report(worker_id: int, router, egress: Counter, **extra) -> WorkerReport:
+    """One shard's end-of-run totals, from its router's stats."""
+    stats = router.stats
+    return WorkerReport(
+        worker_id=worker_id, received=stats.received, forwarded=stats.forwarded,
+        dropped=stats.dropped, slow_path=stats.slow_path, chunks=stats.chunks,
+        gpu_launches=stats.gpu_launches, egress=dict(egress), **extra,
+    )
 
 
 def _pool_chunks(router, pool: ShmChunkPool, frames, worker_id: int):
@@ -277,34 +290,25 @@ def _plane_worker_main(session: str, worker_id: int, spec: PlaneSpec,
     set_flightrec(recorder)
     reset_profiler()
     pool = ShmChunkPool.attach(pool_name(session, worker_id), allocator=True)
-    app, _ = _build_app(spec)
+    app, burst_fn = _build_app(spec)
     transport = RemoteMasterClient(
         submit_queue, result_queue, worker_id,
         max_in_flight=pool.nslots, pool=pool,
     )
     router = PacketShader(app, config=_worker_config(), transport=transport)
-    egress_counts: Dict[int, int] = {}
-    for burst in shard_bursts(spec, worker_id):
+    egress_counts: Counter = Counter()
+    for burst in shard_bursts(spec, worker_id, burst_fn):
         chunks = _pool_chunks(router, pool, burst, worker_id)
-        for port, frames in router.process_chunks(chunks).items():
-            egress_counts[port] = egress_counts.get(port, 0) + len(frames)
+        _count_egress(egress_counts, router.process_chunks(chunks))
         # Release this burst's slot views before the next pack round
         # (the submitted originals are dead; their clones came back).
         chunks = None
     tail: Dict[int, List[bytearray]] = {}
     router.flush_transport(tail)
-    for port, frames in tail.items():
-        egress_counts[port] = egress_counts.get(port, 0) + len(frames)
+    _count_egress(egress_counts, tail)
     transport.finish()
-    report_queue.put(WorkerReport(
-        worker_id=worker_id,
-        received=router.stats.received,
-        forwarded=router.stats.forwarded,
-        dropped=router.stats.dropped,
-        slow_path=router.stats.slow_path,
-        chunks=router.stats.chunks,
-        gpu_launches=router.stats.gpu_launches,
-        egress=egress_counts,
+    report_queue.put(_worker_report(
+        worker_id, router, egress_counts,
         # The pool's own tally, so RX-edge heap builds and later
         # ensure_packed escapes in submit() both count — the report
         # agrees with the SHARD_POOL_FALLBACKS metric exactly.
@@ -366,6 +370,8 @@ class ShardedDataPlane:
             names.SHARD_MASTER_CHUNKS,
             help="chunks the master gathered across all workers",
         )
+        # Registry counters span every plane of the process: report deltas.
+        self._m_start = (self._m_batches.value, self._m_chunks.value)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -466,8 +472,8 @@ class ShardedDataPlane:
             spec=self.spec,
             workers=[reports[wid] for wid in sorted(reports)],
             injected=self.spec.bursts * self.spec.packets,
-            master_batches=int(self._m_batches.value),
-            master_chunks=int(self._m_chunks.value),
+            master_batches=int(self._m_batches.value - self._m_start[0]),
+            master_chunks=int(self._m_chunks.value - self._m_start[1]),
         )
 
     def aggregate(self, into: Optional[MetricsRegistry] = None) -> MetricsRegistry:
@@ -519,23 +525,12 @@ def run_plane_inprocess(spec: PlaneSpec) -> PlaneReport:
 
     reports: List[WorkerReport] = []
     for wid in range(spec.workers):
-        app, _ = _build_app(spec)
+        app, burst_fn = _build_app(spec)
         router = PacketShader(app, config=_worker_config())
-        egress_counts: Dict[int, int] = {}
-        for burst in shard_bursts(spec, wid):
-            for port, frames in router.process_frames(burst).items():
-                egress_counts[port] = egress_counts.get(port, 0) + len(frames)
-        reports.append(WorkerReport(
-            worker_id=wid,
-            received=router.stats.received,
-            forwarded=router.stats.forwarded,
-            dropped=router.stats.dropped,
-            slow_path=router.stats.slow_path,
-            chunks=router.stats.chunks,
-            gpu_launches=router.stats.gpu_launches,
-            egress=egress_counts,
-            exitcode=0,
-        ))
+        egress_counts: Counter = Counter()
+        for burst in shard_bursts(spec, wid, burst_fn):
+            _count_egress(egress_counts, router.process_frames(burst))
+        reports.append(_worker_report(wid, router, egress_counts, exitcode=0))
     return PlaneReport(
         spec=spec,
         workers=reports,

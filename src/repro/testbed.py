@@ -4,7 +4,7 @@
 bypasses the packet I/O machinery of Section 4.  The testbed wires the
 whole stack the way Figure 7 draws it:
 
-* injected frames are RSS-hashed (real Toeplitz) and DMA'd into the
+* injected frames are RSS-steered (real Toeplitz) and DMA'd into the
   ingress port's huge-packet-buffer RX rings (:class:`OptimizedDriver`);
 * worker threads fetch batched chunks through their per-queue virtual
   interfaces (:class:`PacketIOEngine`), honouring the interrupt/poll
@@ -34,9 +34,8 @@ from repro.faults.plan import FaultInjector
 from repro.faults.recovery import RetryPolicy
 from repro.io_engine.driver import OptimizedDriver
 from repro.io_engine.engine import PacketIOEngine
-from repro.io_engine.rss import RSSHasher
+from repro.io_engine.rss import steer
 from repro.hw.nic import NICPort
-from repro.net.packet import parse_packet
 
 
 @dataclass
@@ -97,7 +96,7 @@ class Testbed:
         self.ports = [
             NICPort(port, node=0, num_queues=workers) for port in range(num_ports)
         ]
-        self.rss = RSSHasher(queue_map=list(range(workers)))
+        self._rss_rr = 0
         self.stats = TestbedStats()
         self.sink: Dict[int, List[bytes]] = {}
 
@@ -110,19 +109,10 @@ class Testbed:
         if port not in self.drivers:
             raise ValueError(f"unknown port {port}")
         driver = self.drivers[port]
-        accepted = 0
-        for frame in frames:
-            flow = None
-            try:
-                flow = parse_packet(bytes(frame)).five_tuple()
-            except ValueError:
-                pass
-            queue = self.rss.queue_for(flow) if flow else 0
-            if driver.deliver(queue, bytes(frame)):
-                accepted += 1
-            else:
-                self.stats.rx_dropped += 1
-            self.stats.injected += 1
+        queues, self._rss_rr = steer(frames, len(self.node.workers), self._rss_rr)
+        accepted = sum(map(driver.deliver, queues.tolist(), map(bytes, frames)))
+        self.stats.injected += len(frames)
+        self.stats.rx_dropped += len(frames) - accepted
         return accepted
 
     # ------------------------------------------------------------------

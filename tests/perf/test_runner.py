@@ -137,3 +137,18 @@ class TestManifest:
             payload = schema.load(path.read_text())
             assert payload["figure"] == figure
             assert payload["mode"] == "quick"
+
+    def test_every_figure_artifact_is_whitelisted_in_gitignore(self):
+        """``BENCH_*.json`` is ignored, so a figure without its
+        ``!BENCH_<id>.json`` line never gets committed — and a fresh
+        clone fails the artifact check above."""
+        from repro.perf.registry import figure_ids
+
+        lines = set(
+            (runner.REPO_ROOT / ".gitignore").read_text().splitlines()
+        )
+        missing = [
+            figure for figure in figure_ids()
+            if f"!BENCH_{figure}.json" not in lines
+        ]
+        assert missing == []

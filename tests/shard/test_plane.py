@@ -20,10 +20,11 @@ import pytest
 from repro.core.chunk import Chunk
 from repro.faults.scenarios import run_scenario
 from repro.io_engine.rss import ShardMap
-from repro.obs import names
+from repro.obs import get_registry, names
 from repro.shard.plane import (
     PlaneSpec,
     ShardedDataPlane,
+    _build_app,
     run_plane,
     run_plane_inprocess,
     scatter_chunk,
@@ -79,7 +80,10 @@ class TestShardMap:
 
     def test_shard_bursts_union_is_the_full_stream(self):
         spec = small_spec(seed=2)
-        per_shard = [shard_bursts(spec, wid) for wid in range(spec.workers)]
+        per_shard = [
+            shard_bursts(spec, wid, _build_app(spec)[1])
+            for wid in range(spec.workers)
+        ]
         assert all(len(b) == spec.bursts for b in per_shard)
         for burst_idx in range(spec.bursts):
             total = sum(
@@ -130,6 +134,19 @@ class TestDifferential:
         report = run_plane(small_spec(app="ipv4", seed=1))
         assert report.master_chunks > 0
         assert 0 < report.master_batches <= report.master_chunks
+
+    def test_master_counts_are_per_run(self):
+        """The registry counters accumulate over the process; each
+        report counts its own run only.  Chunk counts repeat exactly;
+        batch counts depend on how many chunks the master finds queued
+        at each gather, so they are checked against the counter."""
+        first = run_plane(small_spec())
+        batches = get_registry().counter(names.SHARD_MASTER_BATCHES)
+        before = batches.value
+        second = run_plane(small_spec())
+        assert second.master_chunks == first.master_chunks
+        assert second.master_batches == batches.value - before
+        assert 0 < second.master_batches <= second.master_chunks
 
     def test_fallback_chunks_still_match_reference(self):
         """A one-slot pool starves the RX edge, so most chunks cross
