@@ -9,7 +9,7 @@ invariant linter (docs/STATIC_ANALYSIS.md); ``bench`` runs the perf
 scorecard — every figure/table reproduction through the schema'd
 pipeline, scored against the paper (docs/PERF.md); ``flightrec``
 dumps or replays the flight recorder's event ring; ``top`` is the live
-dashboard over the metrics registry, profiler, and flight recorder
+dashboard over the metrics registry, tracer, and flight recorder
 (docs/OBSERVABILITY.md); ``run`` drives the sharded multi-process data
 plane (docs/SHARDING.md).
 """

@@ -12,8 +12,6 @@ Beyond the basic run, the gen-2 driver surface:
   against ``BASE`` (default ``HEAD``) touched — the semantic phase
   still covers the whole tree, so cross-file rules keep full context
   and only the *reporting* narrows;
-* ``--cache [PATH]`` replays the previous run when nothing changed
-  (see :mod:`repro.analysis.cache`);
 * ``--prune-baseline`` strikes paid-down debt from the committed
   baseline; ``--check-baseline`` fails when such stale entries exist,
   so the ledger cannot silently absorb the next regression.
@@ -28,10 +26,9 @@ from pathlib import Path
 from typing import List, Optional, Set
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.cache import DEFAULT_CACHE_PATH, ResultCache
 from repro.analysis.driver import lint_paths
 from repro.analysis.findings import format_json, format_table
-from repro.analysis.rules import all_rules, default_rules, get_rule
+from repro.analysis.rules import all_rules, get_rule
 from repro.analysis.sarif import format_sarif
 
 DEFAULT_BASELINE = "reprolint-baseline.json"
@@ -91,15 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "ref (default HEAD); analysis still spans the whole tree",
     )
     parser.add_argument(
-        "--cache", metavar="PATH", nargs="?", const=DEFAULT_CACHE_PATH,
-        default=None,
-        help=f"reuse cached results when no file changed "
-             f"(default file: {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
         "--rules", metavar="IDS", default=None,
-        help="comma-separated rule ids to run (default: all current "
-             "rules; superseded rules only run when named here)",
+        help="comma-separated rule ids to run (default: all rules)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -132,12 +122,8 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.list_rules:
-        current = {rule.rule_id for rule in default_rules()}
         for rule in all_rules():
-            marker = "" if rule.rule_id in current else (
-                f"  (superseded by {rule.superseded_by})"
-            )
-            print(f"{rule.rule_id}  {rule.title}{marker}")
+            print(f"{rule.rule_id}  {rule.title}")
         return 0
 
     rules = None
@@ -177,12 +163,9 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
             )
             return 2
 
-    cache = ResultCache(args.cache) if args.cache is not None else None
-
     paths = args.paths or _default_paths()
     result = lint_paths(
-        paths, rules=rules, baseline=baseline, cache=cache,
-        changed_only=changed,
+        paths, rules=rules, baseline=baseline, changed_only=changed,
     )
 
     if args.prune_baseline is not None:
@@ -231,10 +214,9 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
         print(format_table(result.findings))
         if result.suppressed:
             print(f"reprolint: {result.suppressed} finding(s) suppressed inline")
-        cached = " (cached)" if result.cache_hit else ""
         print(
             f"reprolint: checked {result.files_checked} file(s) in "
-            f"{result.duration_ns / 1e6:.0f} ms{cached}: "
+            f"{result.duration_ns / 1e6:.0f} ms: "
             + ("FAIL" if result.failed else "OK")
         )
     return 1 if result.failed else 0

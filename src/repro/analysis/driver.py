@@ -5,18 +5,12 @@ The driver walks the requested paths, parses every ``*.py`` once into a
 the set in a :class:`Project` (the cross-file context rules like RL003
 and RL005 need), builds the shared semantic phase lazily
 (``project.semantics``: symbol table, import/call graph, dataflow —
-:mod:`repro.analysis.semantics`), runs each default rule, then applies
+:mod:`repro.analysis.semantics`), runs each rule, then applies
 suppressions and the baseline.  Rules never re-read files and never
 import the code under analysis — everything is AST-level, so the linter
 can check broken or import-cycle-ridden trees.  (The linter *does*
 import :mod:`repro.obs` at runtime for its own ``lint.*`` self-metrics;
 that is a dependency of the tool, not of the tree being linted.)
-
-A :class:`repro.analysis.cache.ResultCache` can be passed in to skip
-rule execution entirely when no file changed: findings are replayed
-from the cached run (keyed by a digest over every file's content hash
-plus the rule set), and the baseline is re-applied fresh, so a cached
-re-run costs one hash pass instead of a parse + analysis pass.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding, Severity, sort_findings
-from repro.analysis.rules import Rule, default_rules
+from repro.analysis.rules import Rule, all_rules
 
 #: ``# reprolint: ignore`` (all rules) or ``# reprolint: ignore[RL001,RL003]``.
 _SUPPRESS_RE = re.compile(
@@ -253,10 +247,8 @@ class LintResult:
     findings: List[Finding]
     files_checked: int
     suppressed: int = 0
-    #: Wall time of the run (hash/parse/rules/baseline), nanoseconds.
+    #: Wall time of the run (read/parse/rules/baseline), nanoseconds.
     duration_ns: int = 0
-    #: Findings were replayed from the result cache (no rules ran).
-    cache_hit: bool = False
 
     @property
     def new_findings(self) -> List[Finding]:
@@ -304,8 +296,6 @@ def _record_lint_metrics(result: LintResult) -> None:
 
     registry = get_registry()
     registry.counter(names.LINT_RUNS).inc()
-    if result.cache_hit:
-        registry.counter(names.LINT_CACHE_HITS).inc()
     registry.gauge(names.LINT_FILES_CHECKED).set(result.files_checked)
     registry.gauge(names.LINT_FINDINGS).set(len(result.findings))
     registry.histogram(
@@ -317,42 +307,21 @@ def lint_paths(
     paths: Sequence[Union[str, Path]],
     rules: Optional[Sequence[Rule]] = None,
     baseline: Optional[Baseline] = None,
-    cache=None,
     changed_only: Optional[Set[str]] = None,
 ) -> LintResult:
     """Lint every ``*.py`` under ``paths`` with the given rules.
 
     Findings are suppression-filtered, baseline-marked, and sorted by
-    location.  ``rules`` defaults to the non-superseded registered
-    rules; ``baseline`` defaults to empty (everything is new).
-
-    ``cache`` (a :class:`repro.analysis.cache.ResultCache`) replays the
-    previous run's findings when no file content changed.  The
-    semantic phase is always project-wide; ``changed_only`` restricts
-    only the *reported* findings to the given relpaths afterwards.
+    location.  ``rules`` defaults to every registered rule;
+    ``baseline`` defaults to empty (everything is new).  The semantic
+    phase is always project-wide; ``changed_only`` restricts only the
+    *reported* findings to the given relpaths afterwards.
     """
     started = time.perf_counter_ns()
-    selected = list(rules) if rules is not None else default_rules()
-    rule_ids = sorted(rule.rule_id for rule in selected)
-
+    selected = list(rules) if rules is not None else all_rules()
     files = _iter_py_files(paths)
-    sources: List[Tuple[Path, str]] = []
-    hashes: Dict[str, str] = {}
-    for path in files:
-        source = path.read_text(encoding="utf-8")
-        sources.append((path, source))
-        if cache is not None:
-            hashes[_relpath(path)] = cache.digest(source)
-
-    cached = cache.match(hashes, rule_ids) if cache is not None else None
-    if cached is not None:
-        findings, suppressed = cached
-        cache_hit = True
-    else:
-        findings, suppressed = _run_rules(sources, selected)
-        cache_hit = False
-        if cache is not None:
-            cache.store(hashes, rule_ids, findings, suppressed)
+    sources = [(path, path.read_text(encoding="utf-8")) for path in files]
+    findings, suppressed = _run_rules(sources, selected)
 
     if changed_only is not None:
         findings = [f for f in findings if f.path in changed_only]
@@ -362,7 +331,6 @@ def lint_paths(
         files_checked=len(files),
         suppressed=suppressed,
         duration_ns=time.perf_counter_ns() - started,
-        cache_hit=cache_hit,
     )
     _record_lint_metrics(result)
     return result

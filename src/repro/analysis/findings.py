@@ -65,20 +65,6 @@ class Finding:
             record["baselined"] = True
         return record
 
-    @classmethod
-    def from_dict(cls, record: Dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_dict` (the result cache's replay path).
-        The baseline flag is deliberately not restored: baselines are
-        re-applied fresh on every run."""
-        return cls(
-            rule=str(record["rule"]),
-            path=str(record["path"]),
-            line=int(record["line"]),
-            message=str(record["message"]),
-            severity=str(record.get("severity", Severity.ERROR)),
-            hint=str(record.get("hint", "")),
-        )
-
 
 def sort_findings(findings: Sequence[Finding]) -> List[Finding]:
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule, f.message))

@@ -20,11 +20,6 @@ class Rule:
 
     rule_id: str = ""
     title: str = ""
-    #: Set to a newer rule's id when that rule subsumes this one; the
-    #: superseded rule stays registered (explicit ``--rules`` selection,
-    #: SARIF metadata) but leaves the default set once its successor is
-    #: registered, so the two never double-report one defect.
-    superseded_by: str = ""
 
     def check(self, project) -> Iterable[Finding]:
         raise NotImplementedError
@@ -48,16 +43,6 @@ def all_rules() -> List[Rule]:
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 
-def default_rules() -> List[Rule]:
-    """What a plain lint run executes: every rule not superseded by
-    another registered rule."""
-    return [
-        rule
-        for rule in all_rules()
-        if not (rule.superseded_by and rule.superseded_by in _REGISTRY)
-    ]
-
-
 def get_rule(rule_id: str) -> Rule:
     try:
         return _REGISTRY[rule_id]()
@@ -73,7 +58,6 @@ from repro.analysis.rules import (  # noqa: E402,F401
     rl001_determinism,
     rl002_accounting,
     rl003_metric_names,
-    rl004_drops,
     rl005_fault_sites,
     rl006_hot_loops,
     rl007_wallclock,

@@ -11,8 +11,9 @@ level, that:
   the linted tree as ``names.py``);
 * every ``names.X`` catalog reference at such a site names a constant
   the catalog actually defines;
-* every string passed to a ``*.record(...)`` trace call is a canonical
-  stage name (class ``Stages`` in the linted tree);
+* every string passed to a ``*.record(...)`` or ``*.measure(...)``
+  trace call is a canonical stage name (class ``Stages`` in the linted
+  tree);
 * no catalog entry is orphaned — a name no call site registers or reads
   charts as permanently zero (severity: warning).
 
@@ -34,7 +35,7 @@ _REGISTER_METHODS = frozenset({"counter", "gauge", "histogram"})
 #: Registry read methods (receiver must look like a registry).
 _READ_METHODS = frozenset({"value", "total", "get"})
 #: Trace methods whose first argument is a stage name.
-_TRACE_METHODS = frozenset({"record", "span"})
+_TRACE_METHODS = frozenset({"record", "measure"})
 
 
 def _looks_like_registry(func: ast.Attribute) -> bool:

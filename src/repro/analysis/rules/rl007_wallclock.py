@@ -1,9 +1,10 @@
-"""RL007: hot-path wall-clock reads go through the profiler API.
+"""RL007: hot-path wall-clock reads go through ``Tracer.measure``.
 
-The wall-clock stage profiler (:mod:`repro.obs.profiler`) is the one
-sanctioned wall-clock reader below the CLI layer: it routes real time
-into ``prof.stage_wall_ns`` histograms, stamped with flight-recorder
-exemplars, without ever touching modelled results.  A direct
+The tracer's two-clock instrumentation point (:meth:`repro.obs.trace.
+Tracer.measure`) is the one sanctioned wall-clock reader below the CLI
+layer: it routes real time into ``prof.stage_wall_ns`` histograms,
+stamped with flight-recorder exemplars, without ever touching modelled
+results.  A direct
 ``time.time()`` / ``perf_counter()`` in ``core/`` or ``io_engine/``
 bypasses that contract twice over — the reading is invisible to the
 observability stack, and host time is one assignment away from leaking
@@ -15,7 +16,7 @@ cannot see: names imported bare (``from time import perf_counter``),
 module aliases (``import time as t; t.monotonic()``), and the
 ``datetime`` constructors reached through either spelling.  Hot-path
 code that genuinely needs wall time wraps the region in
-``get_profiler().track(stage)`` or reads ``StageProfiler.now_ns()``.
+``get_tracer().measure(stage)``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.analysis.astutil import dotted_name
 from repro.analysis.findings import Finding
 from repro.analysis.rules import Rule, register
 
-#: Layers whose hot paths must route wall time through the profiler.
+#: Layers whose hot paths must route wall time through the tracer.
 WALLCLOCK_SCOPED_PARTS = frozenset({"core", "io_engine"})
 
 #: Clock-reading functions of the ``time`` module.
@@ -40,9 +41,8 @@ TIME_CLOCK_FNS = frozenset({
 DATETIME_CLOCK_FNS = frozenset({"now", "utcnow", "today"})
 
 _HINT = (
-    "wrap the region in get_profiler().track(stage) or read "
-    "StageProfiler.now_ns() — the profiler is the sanctioned wall-clock "
-    "API (docs/OBSERVABILITY.md)"
+    "wrap the region in get_tracer().measure(stage) — the tracer is the "
+    "sanctioned wall-clock API (docs/OBSERVABILITY.md)"
 )
 
 
@@ -97,7 +97,7 @@ class _ClockBindings:
 @register
 class WallclockRule(Rule):
     rule_id = "RL007"
-    title = "hot-path wall-clock reads bypass the profiler API"
+    title = "hot-path wall-clock reads bypass the tracer's measure API"
 
     def check(self, project) -> Iterable[Finding]:
         for module in project.modules:

@@ -275,42 +275,39 @@ class Chunk:
     def __getstate__(self) -> dict:
         """Pickle the chunk for a process-boundary queue handoff.
 
-        Three wire forms, cheapest first:
+        Two wire forms:
 
         * **shm descriptor** — the store is a chunk-pool slot: only the
           :class:`~repro.shard.pool.ChunkShmRef` travels (plus the
           offset/length columns); the frame bytes are never copied.
-        * **owned bytes** — heap-backed packed chunks ship the store as
-          one ``bytes`` blob (the pre-shard fallback path).
-        * **loose frames** — ``replace_frame()`` detached some frames;
-          each ships individually and the chunk stays unpacked.
+        * **owned bytes** — everything else ships its store as one
+          ``bytes`` blob.  A detached chunk (``replace_frame()`` touched
+          it) is repacked into a fresh store first, so the receiver
+          always gets a packed chunk.  The repack lands in the state
+          dict only: an ``mp.Queue`` feeder pickles after ``put()``
+          returns, so the sender must not be mutated here.
         """
         state = {
             slot: getattr(self, slot)
             for slot in self.__slots__
             if slot not in ("frames", "_frame_store", "_batch")
         }
-        if self._shm is not None and self._packed:
+        if not self._packed:
+            store, offsets, lengths = pack_frames(self.frames)
+            state.update(
+                _shm=None, _store_bytes=bytes(store), _offsets=offsets,
+                _lengths=lengths, _packed=True,
+            )
+        elif self._shm is not None:
             # Zero-copy: the descriptor already in state["_shm"] names
             # the packed bytes; nothing else to ship.
             state["_store_bytes"] = None
-            state["_loose_frames"] = None
-        elif self._packed:
-            state["_shm"] = None
-            state["_store_bytes"] = bytes(self._frame_store)
-            state["_loose_frames"] = None
         else:
-            # replace_frame() detached some frames from the store; ship
-            # each frame individually and stay unpacked on arrival.
-            # Serialization boundary, not a data-plane loop.
-            state["_shm"] = None
-            state["_store_bytes"] = None
-            state["_loose_frames"] = [bytes(f) for f in self.frames]  # reprolint: ignore[RL006]
+            state["_store_bytes"] = bytes(self._frame_store)
         return state
 
     def __setstate__(self, state: dict) -> None:
         store_bytes = state.pop("_store_bytes")
-        loose = state.pop("_loose_frames")
         for slot, value in state.items():
             setattr(self, slot, value)
         self._batch = None
@@ -322,25 +319,15 @@ class Chunk:
 
             view = resolve_ref(self._shm)
             self._frame_store = view
-            self.frames = [
-                view[offset:offset + length]
-                for offset, length in zip(
-                    self._offsets.tolist(), self._lengths.tolist()
-                )
-            ]
-        elif store_bytes is not None:
-            store = bytearray(store_bytes)
-            view = memoryview(store)
-            self._frame_store = store
-            self.frames = [
-                view[offset:offset + length]
-                for offset, length in zip(
-                    self._offsets.tolist(), self._lengths.tolist()
-                )
-            ]
         else:
-            self._frame_store = bytearray()
-            self.frames = [bytearray(f) for f in loose]
+            self._frame_store = bytearray(store_bytes)
+            view = memoryview(self._frame_store)
+        self.frames = [
+            view[offset:offset + length]
+            for offset, length in zip(
+                self._offsets.tolist(), self._lengths.tolist()
+            )
+        ]
 
     # ------------------------------------------------------------------
     # The structure-of-arrays view.

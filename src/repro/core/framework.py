@@ -38,7 +38,6 @@ from repro.obs import (
     Events,
     Stages,
     get_flightrec,
-    get_profiler,
     get_registry,
     get_tracer,
     names,
@@ -138,13 +137,12 @@ class PacketShader:
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy or RetryPolicy()
         self.stats = RouterStats()
-        #: Span tracing of the chunk lifecycle (per-stage modelled costs).
+        #: Span tracing of the chunk lifecycle: per-stage modelled costs
+        #: and, through ``tracer.measure``, per-stage wall time.
         self.tracer = get_tracer()
-        #: Flight recorder (structured event ring) and wall-clock stage
-        #: profiler — the second-generation observability pair.  Handles
-        #: are resolved once here, like the registry instruments below.
+        #: Flight recorder (structured event ring).  Handles are
+        #: resolved once here, like the registry instruments below.
         self.flightrec = get_flightrec()
-        self.profiler = get_profiler()
         # Registry mirrors of RouterStats: same increment sites, so the
         # conservation invariant holds for both views.
         registry = get_registry()
@@ -324,7 +322,12 @@ class PacketShader:
         policy = self.retry_policy
         for attempt in range(policy.max_retries + 1):
             try:
-                result = work.launch_on(node.gpu)
+                with self.tracer.measure(
+                    Stages.GPU, packets=len(chunk)
+                ) as span:
+                    result = work.launch_on(node.gpu)
+                    span.ns = result.total_ns
+                    span.meta["kernel"] = result.kernel
             except (GPULaunchError, DMAError):
                 if attempt < policy.max_retries:
                     self.stats.gpu_retries += 1
@@ -353,12 +356,6 @@ class PacketShader:
             self._m_gpu_launches.inc()
             chunk.gpu_output = result.output
             chunk.service_ns += result.total_ns
-            self.tracer.record(
-                Stages.GPU,
-                packets=len(chunk),
-                ns=result.total_ns,
-                kernel=result.kernel,
-            )
             return
 
     def _shade_on_cpu(self, chunk: Chunk, work) -> None:
@@ -370,23 +367,22 @@ class PacketShader:
         shading already charged is the CPU-only application cost minus
         the worker-side share.
         """
-        with self.profiler.track(Stages.GPU_FALLBACK):
-            chunk.gpu_output = (
-                work.spec.fn(*work.args) if work.spec.fn is not None else None
-            )
-        self.stats.degraded_chunks += 1
-        self._m_degraded_chunks.inc()
-        self.flightrec.note(Events.GPU_FALLBACK, "", len(chunk))
         frame_len = self._frame_len(chunk)
         extra = max(
             0.0,
             self.app.cpu_cycles_per_packet(frame_len)
             - self.app.worker_cycles_per_packet(frame_len),
         )
-        chunk.service_ns += extra * len(chunk) * CPU.cycle_ns
-        self.tracer.record(
+        with self.tracer.measure(
             Stages.GPU_FALLBACK, packets=len(chunk), cycles=extra * len(chunk)
-        )
+        ):
+            chunk.gpu_output = (
+                work.spec.fn(*work.args) if work.spec.fn is not None else None
+            )
+        self.stats.degraded_chunks += 1
+        self._m_degraded_chunks.inc()
+        self.flightrec.note(Events.GPU_FALLBACK, "", len(chunk))
+        chunk.service_ns += extra * len(chunk) * CPU.cycle_ns
 
     @property
     def degraded_mode(self) -> bool:
@@ -477,15 +473,15 @@ class PacketShader:
                 # dead device.
                 self._cpu_process_chunk(chunk, egress, degraded=True)
                 continue
-            with self.profiler.track(Stages.PRE_SHADE):
+            with self.tracer.measure(
+                Stages.PRE_SHADE, packets=len(chunk)
+            ) as span:
                 chunk.gpu_input = self.app.pre_shade(chunk)
-            pre_cycles = self._worker_stage_cycles(
-                chunk, FRAMEWORK.pre_shading_cycles
-            )
-            chunk.service_ns += pre_cycles * CPU.cycle_ns
-            self.tracer.record(
-                Stages.PRE_SHADE, packets=len(chunk), cycles=pre_cycles
-            )
+                # After the callback: ipsec grows frames in pre-shade.
+                span.cycles = self._worker_stage_cycles(
+                    chunk, FRAMEWORK.pre_shading_cycles
+                )
+            chunk.service_ns += span.cycles * CPU.cycle_ns
             if self.transport is not None:
                 # Remote master: the submit may hand back already-shaded
                 # chunks while waiting for in-flight headroom — the
@@ -540,21 +536,17 @@ class PacketShader:
         self, chunk: Chunk, egress: Dict[int, List[bytearray]], degraded: bool
     ) -> None:
         """Run one chunk through the CPU-only pipeline and finish it."""
-        with self.profiler.track(Stages.CPU_PROCESS):
+        with self.tracer.measure(
+            Stages.CPU_PROCESS, packets=len(chunk), degraded=degraded
+        ) as span:
             self.app.cpu_process(chunk)
+            span.cycles = self.app.cpu_cycles_per_packet(
+                self._frame_len(chunk)
+            ) * len(chunk)
         if degraded:
             self.stats.degraded_chunks += 1
             self._m_degraded_chunks.inc()
-        cpu_cycles = self.app.cpu_cycles_per_packet(
-            self._frame_len(chunk)
-        ) * len(chunk)
-        chunk.service_ns += cpu_cycles * CPU.cycle_ns
-        self.tracer.record(
-            Stages.CPU_PROCESS,
-            packets=len(chunk),
-            cycles=cpu_cycles,
-            degraded=degraded,
-        )
+        chunk.service_ns += span.cycles * CPU.cycle_ns
         self._finish_chunk(chunk, egress)
 
     def _shed_chunk(
@@ -582,15 +574,14 @@ class PacketShader:
         self, chunk: Chunk, egress: Dict[int, List[bytearray]]
     ) -> None:
         """One shaded chunk's worker-side completion: post-shade + finish."""
-        with self.profiler.track(Stages.POST_SHADE):
+        with self.tracer.measure(
+            Stages.POST_SHADE, packets=len(chunk)
+        ) as span:
             self.app.post_shade(chunk, chunk.gpu_output)
-        post_cycles = self._worker_stage_cycles(
-            chunk, FRAMEWORK.post_shading_cycles
-        )
-        chunk.service_ns += post_cycles * CPU.cycle_ns
-        self.tracer.record(
-            Stages.POST_SHADE, packets=len(chunk), cycles=post_cycles
-        )
+            span.cycles = self._worker_stage_cycles(
+                chunk, FRAMEWORK.post_shading_cycles
+            )
+        chunk.service_ns += span.cycles * CPU.cycle_ns
         self._finish_chunk(chunk, egress)
 
     def _drain_outputs(self, node: _Node, egress: Dict[int, List[bytearray]]) -> None:

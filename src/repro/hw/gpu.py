@@ -29,7 +29,7 @@ from repro.calib.constants import GPU, GPUModel
 from repro.faults.errors import GPULaunchError, GPUTimeoutError
 from repro.faults.plan import FaultInjector, Sites
 from repro.hw.pcie import PCIeLink
-from repro.obs import LATENCY_NS_BUCKETS, Stages, get_profiler, get_registry, names
+from repro.obs import LATENCY_NS_BUCKETS, get_registry, names
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,6 @@ class GPUDevice:
         self.busy_ns = 0.0
         self.launches = 0
         self.launch_errors = 0
-        self._profiler = get_profiler()
         registry = get_registry()
         device = str(device_id)
         self._m_launches = registry.counter(
@@ -225,20 +224,6 @@ class GPUDevice:
         """
         if n_threads < 0 or bytes_in < 0 or bytes_out < 0:
             raise ValueError("launch sizes must be non-negative")
-        with self._profiler.track(Stages.GPU):
-            return self._launch(
-                spec, n_threads, bytes_in, bytes_out, args, include_sync
-            )
-
-    def _launch(
-        self,
-        spec: KernelSpec,
-        n_threads: int,
-        bytes_in: int,
-        bytes_out: int,
-        args: tuple,
-        include_sync: bool,
-    ) -> LaunchResult:
         if self.fault_injector is not None:
             if self.fault_injector.should_fire(Sites.GPU_TIMEOUT):
                 # A straggler holds the device until the watchdog budget

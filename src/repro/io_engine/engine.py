@@ -33,7 +33,6 @@ from repro.obs import (
     Events,
     Stages,
     get_flightrec,
-    get_profiler,
     get_registry,
     get_tracer,
     names,
@@ -87,7 +86,6 @@ class PacketIOEngine:
         #: trace-context anchor the testbed stamps onto the chunk built
         #: from that fetch (``Chunk.trace_ctx``).
         self.last_rx_seq = 0
-        self._profiler = get_profiler()
         registry = get_registry()
         self._m_rx_packets = registry.counter(
             names.IO_ENGINE_RX_PACKETS, help="packets fetched through recv_chunk"
@@ -131,8 +129,12 @@ class PacketIOEngine:
             raise KeyError(f"thread {thread} has no attached queues")
         cap = max_packets or FRAMEWORK.chunk_capacity
         start = self._rr_cursor[thread]
-        with self._profiler.track(Stages.RX):
-            return self._recv_chunk(thread, interfaces, cap, start)
+        with get_tracer().measure(Stages.RX) as span:
+            frames = self._recv_chunk(thread, interfaces, cap, start)
+            if frames:
+                span.packets = len(frames)
+                span.cycles = rx_cycles_per_packet(len(frames)) * len(frames)
+        return frames
 
     def _recv_chunk(
         self,
@@ -189,28 +191,20 @@ class PacketIOEngine:
                     f"{interface.nic_id}:{interface.queue_id}",
                     len(frames),
                 )
-                get_tracer().record(
-                    Stages.RX,
-                    packets=len(frames),
-                    cycles=rx_cycles_per_packet(len(frames)) * len(frames),
-                )
                 return frames
         return []
 
     @staticmethod
     def send_chunk(port, frames: List[bytes], queue_id: int = 0) -> int:
         """Post a chunk to a port's TX queue; returns packets accepted."""
-        with get_profiler().track(Stages.TX):
+        with get_tracer().measure(Stages.TX) as span:
             accepted = port.tx_queues[queue_id].post_batch(frames)
+            span.packets = accepted
+            span.cycles = tx_cycles_per_packet(max(1, accepted)) * accepted
         if accepted:
             get_registry().counter(
                 names.IO_ENGINE_TX_PACKETS, help="packets posted through send_chunk"
             ).inc(accepted)
-            get_tracer().record(
-                Stages.TX,
-                packets=accepted,
-                cycles=tx_cycles_per_packet(max(1, accepted)) * accepted,
-            )
         return accepted
 
 

@@ -10,7 +10,11 @@ same measurement machinery, permanently resident:
   histograms, cheap enough to stay enabled in the tier-1 suite;
 * :mod:`repro.obs.trace` — span-based tracing of the chunk lifecycle
   (rx -> pre_shade -> gather -> gpu -> scatter -> post_shade -> tx)
-  with per-stage modelled cycle and simulated-ns attribution;
+  with per-stage modelled cycle and simulated-ns attribution; its
+  ``Tracer.measure`` is the one instrumentation point that feeds both
+  clocks (the modelled span and the ``prof.stage_wall_ns`` wall-time
+  histogram), and the one sanctioned wall-clock reader below the CLI
+  (reprolint RL007);
 * :mod:`repro.obs.exporters` — JSON-lines event log, Prometheus text
   exposition, and the human-readable Table-3-style stage table;
 * :mod:`repro.obs.analyzer` — the bottleneck analyzer: capacity-view
@@ -22,8 +26,6 @@ same measurement machinery, permanently resident:
   registration resolves against (enforced by ``reprolint`` RL003);
 * :mod:`repro.obs.flightrec` — the flight recorder: a fixed-size ring
   of compact structured events with post-mortem JSONL dumps;
-* :mod:`repro.obs.profiler` — the wall-clock stage profiler, the one
-  sanctioned wall-clock reader below the CLI (reprolint RL007);
 * :mod:`repro.obs.shm` — shared-memory metric slabs: the per-writer-
   process registry backend plus the aggregator that merges slabs back
   into one registry snapshot (the sharded data plane's substrate);
@@ -55,12 +57,6 @@ from repro.obs.flightrec import (
     set_flightrec,
 )
 from repro.obs.log import enable_console, get_logger
-from repro.obs.profiler import (
-    StageProfiler,
-    get_profiler,
-    reset_profiler,
-    set_profiler,
-)
 from repro.obs.registry import (
     BATCH_SIZE_BUCKETS,
     LATENCY_NS_BUCKETS,
@@ -109,7 +105,6 @@ __all__ = [
     "Span",
     "StageAttribution",
     "StageCost",
-    "StageProfiler",
     "Stages",
     "Tracer",
     "WALL_NS_BUCKETS",
@@ -121,7 +116,6 @@ __all__ = [
     "export_prometheus",
     "get_flightrec",
     "get_logger",
-    "get_profiler",
     "get_registry",
     "get_tracer",
     "limiting_stage",
@@ -131,11 +125,9 @@ __all__ = [
     "names",
     "read_slab",
     "reset_flightrec",
-    "reset_profiler",
     "reset_registry",
     "reset_tracer",
     "set_flightrec",
-    "set_profiler",
     "set_registry",
     "set_tracer",
     "slab_name",

@@ -20,7 +20,7 @@ Design rules:
   field names are attached only on the read side (:data:`KIND_FIELDS`),
   so recording does no dict building;
 * **attributable** — ``note()`` returns the event's monotonically
-  increasing ``seq``; the wall-clock profiler stores these ids as
+  increasing ``seq``; ``Tracer.measure`` stores these ids as wall-time
   histogram exemplars, linking "this chunk was slow" to "these events
   were in flight at the time";
 * **reconcilable** — a dump's first line snapshots the registry, so a

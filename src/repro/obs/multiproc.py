@@ -5,7 +5,7 @@ real OS processes: a :class:`WorkerFleet` forks N workers, each of
 which installs the full multiprocess observability stack —
 :class:`~repro.obs.shm.ShmMetricsRegistry` over its own slab, a
 :class:`~repro.obs.flightrec.FlightRecorder` stamped with its writer
-id, a fresh tracer and profiler bound to both — and then steps a
+id, a fresh tracer bound to both — and then steps a
 workload exactly as the single-process ``repro top`` runners do.  The
 parent aggregates the live slabs at any time (the multi-worker
 dashboard) and collects per-worker flight-recorder dumps at exit (the
@@ -76,19 +76,14 @@ def _worker_main(session: str, writer_id: int, spec: WorkerSpec,
     breakers) binds instruments that live in this worker's slab and a
     flight ring stamped with this worker's id.
     """
-    from repro.obs import (
-        reset_profiler,
-        reset_tracer,
-        set_registry,
-    )
+    from repro.obs import reset_tracer, set_registry
     from repro.obs.top import _ChaosRunner, _ForwardRunner
 
     slab = MetricSlab.attach(slab_name(session, writer_id))
     set_registry(ShmMetricsRegistry(slab))
-    reset_tracer()
     recorder = FlightRecorder(writer_id=writer_id)
     set_flightrec(recorder)
-    reset_profiler()
+    reset_tracer()
     # Distinct seeds per worker: sibling shards see different traffic,
     # as distinct RSS queues would.
     seed = spec.seed + writer_id

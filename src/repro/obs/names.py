@@ -79,7 +79,7 @@ SIM_SOJOURN_NS = "sim.sojourn_ns"
 GEN_FRAMES = "gen.frames"
 LOG_RECORDS = "log.records"
 
-# -- obs second generation: flight recorder and wall-clock profiler ----
+# -- obs second generation: flight recorder and wall-clock stage time ---
 FLIGHTREC_EVENTS = "flightrec.events"
 FLIGHTREC_DUMPS = "flightrec.dumps"
 PROF_STAGE_WALL_NS = "prof.stage_wall_ns"
@@ -101,7 +101,6 @@ SHARD_MASTER_CHUNKS = "shard.master_chunks"
 
 # -- lint: reprolint self-metrics (docs/STATIC_ANALYSIS.md) ------------
 LINT_RUNS = "lint.runs"
-LINT_CACHE_HITS = "lint.cache_hits"
 LINT_FILES_CHECKED = "lint.files_checked"
 LINT_FINDINGS = "lint.findings"
 LINT_WALL_NS = "lint.wall_ns"

@@ -3,9 +3,9 @@
 An ANSI refresh view (no curses dependency) that steps a workload and
 redraws one screen per burst: throughput and verdict accounting, the
 per-stage table with *both* clocks side by side (modelled ns/packet from
-the span tracer, wall-clock p50/p99 from the profiler), queue depths,
-breaker state per device, drop attribution, and the tail of the flight
-recorder's event ring.  ``--once`` prints a single plain snapshot and
+the span tracer, wall-clock p50/p99 from ``prof.stage_wall_ns``), queue
+depths, breaker state per device, drop attribution, and the tail of the
+flight recorder's event ring.  ``--once`` prints a single plain snapshot and
 exits — the CI-safe mode.
 
 ``--workers N`` switches to the multi-worker dashboard: N real OS
@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs import names
 from repro.obs.flightrec import FlightRecorder, get_flightrec
-from repro.obs.profiler import StageProfiler, get_profiler
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.trace import PIPELINE_ORDER, Tracer, get_tracer
 
@@ -81,12 +80,10 @@ class TopView:
         self,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        profiler: Optional[StageProfiler] = None,
         recorder: Optional[FlightRecorder] = None,
     ) -> None:
         self.registry = registry if registry is not None else get_registry()
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.profiler = profiler if profiler is not None else get_profiler()
         self.recorder = recorder if recorder is not None else get_flightrec()
 
     # -- panels ---------------------------------------------------------
@@ -118,7 +115,7 @@ class TopView:
         from repro.calib.constants import CPU
 
         summary = self.tracer.summary()
-        wall = self.profiler.stage_stats()
+        wall = wall_stage_stats(self.registry)
         stages = [s for s in PIPELINE_ORDER if s in summary or s in wall]
         for stage in sorted(set(summary) | set(wall)):
             if stage not in stages:
@@ -230,7 +227,7 @@ class TopView:
 
 # ----------------------------------------------------------------------
 # Multi-worker summaries.  Everything below reads *registries only* — no
-# tracer, profiler, or recorder objects — so it works identically on the
+# tracer or recorder objects — so it works identically on the
 # live in-process registry and on snapshots read out of another
 # process's shared-memory slab, where no such objects exist on this side
 # of the fork.
@@ -238,10 +235,10 @@ class TopView:
 
 
 def wall_stage_stats(registry: MetricsRegistry) -> Dict[str, Dict[str, float]]:
-    """Profiler-style stage stats recovered from ``prof.stage_wall_ns``.
+    """Per-stage {count, sum_ns, mean_ns, p50, p99} wall-time stats.
 
-    The profiler's own ``stage_stats()`` needs the profiler object; this
-    recovers the same shape from the histograms it left in any registry.
+    Reads the histograms ``Tracer.measure`` left in any registry, so it
+    works on a live registry and on a slab snapshot alike.
     """
     stats: Dict[str, Dict[str, float]] = {}
     for metric in registry.collect():
@@ -461,11 +458,11 @@ def _fleet_main(args) -> int:
             fleet.join(timeout=120.0)
         else:
             last_received = 0.0
-            last_ns = StageProfiler.now_ns()
+            last_ns = time.perf_counter_ns()
             try:
                 while fleet.alive():
                     aggregate = fleet.aggregate()
-                    now = StageProfiler.now_ns()
+                    now = time.perf_counter_ns()
                     received = aggregate.total(names.ROUTER_RECEIVED_PACKETS)
                     pps = (
                         (received - last_received) * 1e9
@@ -526,16 +523,11 @@ def top_main(argv=None) -> int:
     """Entry point for ``python -m repro top``."""
     import argparse
 
-    from repro.obs import (
-        reset_flightrec,
-        reset_profiler,
-        reset_registry,
-        reset_tracer,
-    )
+    from repro.obs import reset_flightrec, reset_registry, reset_tracer
 
     parser = argparse.ArgumentParser(
         prog="python -m repro top",
-        description="Live dashboard over the metrics registry, profiler, "
+        description="Live dashboard over the metrics registry, tracer, "
         "and flight recorder while a workload runs.",
     )
     parser.add_argument(
@@ -597,9 +589,8 @@ def top_main(argv=None) -> int:
     if args.workers:
         return _fleet_main(args)
     reset_registry()
-    reset_tracer()
     reset_flightrec()
-    reset_profiler()
+    reset_tracer()
     if args.scenario is not None:
         runner = _ChaosRunner(args.scenario, args.packets, args.seed)
     else:
@@ -610,9 +601,9 @@ def top_main(argv=None) -> int:
     count = 0
     try:
         while True:
-            start = StageProfiler.now_ns()
+            start = time.perf_counter_ns()
             packets = runner.step()
-            elapsed = max(1, StageProfiler.now_ns() - start)
+            elapsed = max(1, time.perf_counter_ns() - start)
             pps = packets * 1e9 / elapsed
             if args.json:
                 pass  # one JSON document at the end, no screens

@@ -10,20 +10,32 @@ records a :class:`Span` carrying the *modelled* cost of that stage
 tracer folds spans into per-stage totals as they arrive, so a summary is
 O(stages) regardless of run length.
 
-Costs are modelled, not wall-clock, matching the repo's functional +
-temporal split: a span says "this pre-shading step costs 55 cycles/packet
-under the calibrated model", which is what the Table-3-style breakdowns
-and the bottleneck analyzer consume.  (Wall-clock spans are available via
-:meth:`Tracer.span` for profiling the reproduction itself.)
+Span costs are modelled, not wall-clock, matching the repo's functional
++ temporal split: a span says "this pre-shading step costs 55
+cycles/packet under the calibrated model", which is what the
+Table-3-style breakdowns and the bottleneck analyzer consume.
+
+The wall clock is the second axis, and it shares the instrumentation
+point: :meth:`Tracer.measure` wraps one stage's work, observes the
+elapsed ``perf_counter_ns`` in the ``prof.stage_wall_ns{stage=...}``
+histogram (with the flight recorder's current seq as the exemplar, so a
+slow bucket names the event that was in flight), and records the
+stage's modelled span from the same call.  This module is the one
+sanctioned wall-clock reader below the CLI layer (reprolint RL007);
+wall time only ever lands in ``prof.*`` metrics, never in simulated
+state, so RL001's determinism guarantee survives.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Optional
+
+from repro.obs import names
+from repro.obs.flightrec import FlightRecorder, get_flightrec
+from repro.obs.registry import WALL_NS_BUCKETS, Histogram, get_registry
 
 
 class Stages:
@@ -118,13 +130,68 @@ class StageCost:
         return self.ns / self.packets if self.packets else 0.0
 
 
+class _Measure:
+    """One measured stage region: both clocks, one ``with`` block.
+
+    Enter reads the clock and hands out the span; exit observes the
+    elapsed wall time, then folds the span into the modelled summary
+    unless the block raised or the span stayed empty.
+    """
+
+    __slots__ = ("_tracer", "_histogram", "_span", "_start")
+
+    def __init__(self, tracer: "Tracer", histogram: Histogram,
+                 span: Span) -> None:
+        self._tracer = tracer
+        self._histogram = histogram
+        self._span = span
+        self._start = 0
+
+    def __enter__(self) -> Span:
+        self._start = time.perf_counter_ns()
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        elapsed = time.perf_counter_ns() - self._start
+        tracer = self._tracer
+        self._histogram.observe(elapsed, exemplar=tracer._recorder.seq)
+        span = self._span
+        if exc_type is None and (span.packets or span.cycles or span.ns):
+            tracer._fold(span)
+
+
+class _NullMeasure:
+    """The shared do-nothing region a disabled tracer hands out."""
+
+    __slots__ = ()
+
+    #: Scratch span for sites that set fields inside the block.
+    span = Span("")
+
+    def __enter__(self) -> Span:
+        return self.span
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+
+_NULL_MEASURE = _NullMeasure()
+
+
 class Tracer:
     """Collects spans and folds them into per-stage summaries.
 
-    ``record`` is the hot path: one dict lookup plus three adds when
-    event retention is off the critical path (events go to a bounded
-    deque, so a long run cannot grow memory without bound).  Disable a
-    tracer entirely with ``enabled = False``; summaries then stay empty.
+    ``record`` is the hot path for modelled-only spans: one dict lookup
+    plus three adds (events go to a bounded deque, so a long run cannot
+    grow memory without bound).  ``measure`` is the instrumentation
+    point for stages that also do real work worth wall-timing.  Disable
+    a tracer entirely with ``enabled = False``; neither clock then sees
+    anything.
+
+    The tracer binds the current registry and flight recorder at
+    construction, so :func:`reset_tracer` goes after ``set_registry`` /
+    ``set_flightrec`` when a process installs a fresh observability
+    stack.
     """
 
     def __init__(self, enabled: bool = True, max_events: int = 4096) -> None:
@@ -133,8 +200,20 @@ class Tracer:
         self._events: Deque[Span] = deque(maxlen=max_events)
         self._summary: Dict[str, StageCost] = {}
         self._seq = 0
+        self._registry = get_registry()
+        self._recorder: FlightRecorder = get_flightrec()
+        self._histograms: Dict[str, Histogram] = {}
 
     # -- recording ------------------------------------------------------
+
+    def _fold(self, span: Span) -> None:
+        cost = self._summary.get(span.stage)
+        if cost is None:
+            cost = self._summary[span.stage] = StageCost(span.stage)
+        cost.add(span.packets, span.cycles, span.ns)
+        self._seq += 1
+        span.seq = self._seq
+        self._events.append(span)
 
     def record(
         self,
@@ -144,32 +223,41 @@ class Tracer:
         ns: float = 0.0,
         **meta: object,
     ) -> None:
-        """Record one span with modelled costs."""
+        """Record one span with modelled costs (no wall-clock sample)."""
         if not self.enabled:
             return
-        cost = self._summary.get(stage)
-        if cost is None:
-            cost = self._summary[stage] = StageCost(stage)
-        cost.add(packets, cycles, ns)
-        self._seq += 1
-        self._events.append(
-            Span(stage, packets, cycles, ns, seq=self._seq, meta=meta)
-        )
+        self._fold(Span(stage, packets, cycles, ns, meta=meta))
 
-    @contextmanager
-    def span(self, stage: str, packets: int = 0, **meta: object):
-        """Wall-clock span (for profiling the reproduction itself)."""
+    def measure(
+        self,
+        stage: str,
+        packets: int = 0,
+        cycles: float = 0.0,
+        ns: float = 0.0,
+        **meta: object,
+    ):
+        """Time one stage region on both clocks; yields its :class:`Span`.
+
+        ``with tracer.measure(Stages.PRE_SHADE, packets=n) as span: ...``
+        always observes the region's wall time under ``stage``.  The
+        span is then recorded exactly as :meth:`record` would, except
+        that nothing is recorded if the block raised or if the span is
+        empty (packets, cycles and ns all zero).  Costs known only
+        inside the block are set on the yielded span before it ends.
+        """
         if not self.enabled:
-            yield self
-            return
-        start = time.perf_counter_ns()
-        try:
-            yield self
-        finally:
-            self.record(
-                stage, packets=packets,
-                ns=float(time.perf_counter_ns() - start), **meta,
+            return _NULL_MEASURE
+        histogram = self._histograms.get(stage)
+        if histogram is None:
+            histogram = self._histograms[stage] = self._registry.histogram(
+                names.PROF_STAGE_WALL_NS,
+                buckets=WALL_NS_BUCKETS,
+                help="wall-clock time per pipeline stage",
+                stage=stage,
             )
+        return _Measure(
+            self, histogram, Span(stage, packets, cycles, ns, meta=meta)
+        )
 
     # -- reading --------------------------------------------------------
 
@@ -227,7 +315,11 @@ def set_tracer(tracer: Tracer) -> Tracer:
 
 
 def reset_tracer() -> Tracer:
-    """Replace the default tracer with a fresh enabled one (returned)."""
+    """Replace the default tracer with a fresh enabled one (returned).
+
+    Call after ``reset_registry``/``reset_flightrec`` (or their ``set_``
+    forms) so the new tracer binds to the new registry and recorder.
+    """
     tracer = Tracer()
     set_tracer(tracer)
     return tracer

@@ -133,23 +133,17 @@ def _run_parser(prog: str, doc: str) -> argparse.ArgumentParser:
 def _traced_run(args) -> "PacketShader":
     """Run one traced burst on fresh observability state.
 
-    Resets the global registry, tracer, flight recorder, and profiler so
+    Resets the global registry, flight recorder, and tracer so
     the output describes this run alone, then pushes ``args.packets``
     real frames through the framework.
     """
     from repro.core.config import RouterConfig
     from repro.core.framework import PacketShader
-    from repro.obs import (
-        reset_flightrec,
-        reset_profiler,
-        reset_registry,
-        reset_tracer,
-    )
+    from repro.obs import reset_flightrec, reset_registry, reset_tracer
 
     reset_registry()
-    reset_tracer()
     reset_flightrec()
-    reset_profiler()
+    reset_tracer()
     routes = 5_000
     if args.app == "ipv6":
         workload = ipv6_workload(num_routes=routes, seed=args.seed)
@@ -233,12 +227,7 @@ def chaos_main(argv=None) -> int:
     import json
 
     from repro.faults.scenarios import SCENARIOS, run_scenario
-    from repro.obs import (
-        reset_flightrec,
-        reset_profiler,
-        reset_registry,
-        reset_tracer,
-    )
+    from repro.obs import reset_flightrec, reset_registry, reset_tracer
 
     parser = argparse.ArgumentParser(
         prog="python -m repro chaos",
@@ -297,9 +286,8 @@ def chaos_main(argv=None) -> int:
         print("-" * 78)
     for name in names:
         reset_registry()
-        reset_tracer()
         reset_flightrec()
-        reset_profiler()
+        reset_tracer()
         report = run_scenario(name, seed=args.seed, packets=args.packets)
         if not report.conservation_ok:
             failures += 1

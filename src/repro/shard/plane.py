@@ -47,7 +47,7 @@ from typing import Dict, List, Optional
 
 from repro.calib.constants import SYSTEM
 from repro.core.config import RouterConfig
-from repro.obs import get_registry, names
+from repro.obs import Stages, get_registry, get_tracer, names
 from repro.obs.registry import MetricsRegistry
 from repro.obs.shm import MetricSlab, aggregate_slabs, slab_name
 from repro.shard.pool import DEFAULT_SLOT_BYTES, ShmChunkPool, pool_name
@@ -166,9 +166,9 @@ def scatter_chunk(result_queue, chunk) -> None:
     packed chunks pickle as descriptors — for those (and only those)
     the master drops its aliasing views into the shared slot, so the
     worker can recycle the slot and the master's pool mapping can
-    close without a ``BufferError``.  Heap and loose-frame chunks are
-    serialized *from* ``frames``/``_frame_store``; clearing them here
-    would race the pickle and silently ship empty frames.
+    close without a ``BufferError``.  Heap-backed and detached chunks
+    ship owned bytes built *from* ``frames``/``_frame_store``; clearing
+    them here would race the pickle and silently ship empty frames.
     """
     result_queue.put(chunk)
     if chunk.shm_ref is not None and chunk.is_packed:
@@ -279,16 +279,15 @@ def _plane_worker_main(session: str, worker_id: int, spec: PlaneSpec,
     """One worker process: obs stack, pool, router, bursts, report."""
     from repro.core.framework import PacketShader
     from repro.core.queues import RemoteMasterClient
-    from repro.obs import reset_profiler, reset_tracer, set_registry
+    from repro.obs import reset_tracer, set_registry
     from repro.obs.flightrec import FlightRecorder, set_flightrec
     from repro.obs.shm import ShmMetricsRegistry
 
     slab = MetricSlab.attach(slab_name(session, worker_id))
     set_registry(ShmMetricsRegistry(slab))
-    reset_tracer()
     recorder = FlightRecorder(writer_id=worker_id)
     set_flightrec(recorder)
-    reset_profiler()
+    reset_tracer()
     pool = ShmChunkPool.attach(pool_name(session, worker_id), allocator=True)
     app, burst_fn = _build_app(spec)
     transport = RemoteMasterClient(
@@ -402,6 +401,7 @@ class ShardedDataPlane:
         from repro.hw.gpu import GPUDevice
 
         device = GPUDevice(device_id=0, node=0)
+        tracer = get_tracer()
         # The master's own application instance plays the role of GPU
         # device memory: kernels arrive stripped of their callables
         # (GPUWorkItem.__getstate__) and rebind against the tables held
@@ -449,7 +449,12 @@ class ShardedDataPlane:
                     chunk.gpu_output = None
                 else:
                     app.bind_kernel(work)
-                    result = work.launch_on(device)
+                    with tracer.measure(
+                        Stages.GPU, packets=len(chunk)
+                    ) as span:
+                        result = work.launch_on(device)
+                        span.ns = result.total_ns
+                        span.meta["kernel"] = result.kernel
                     chunk.gpu_output = result.output
                     chunk.service_ns += result.total_ns
                 scatter_chunk(self.result_queues[chunk.worker_id], chunk)

@@ -334,9 +334,9 @@ class ShmChunkPool:
             if slot is not None:
                 self._give_back(slot)
             if ref is not None and ref.segment == self.name and self.allocator:
-                # The chunk now pickles through the loose-frames path
-                # with _shm=None, so the clone that comes back makes
-                # recycle() a no-op — free the detached store's slot
+                # The chunk now pickles as owned bytes (repacked from
+                # its live frames) with _shm=None, so the clone that
+                # comes back makes recycle() a no-op — free the detached store's slot
                 # here or it leaks for the rest of the run.
                 self.release(ref)
                 chunk._shm = None

@@ -1,5 +1,5 @@
-"""Gen-2 driver surface: result cache, SARIF, changed-only, baseline
-hygiene, and the linter's own lint.* metrics."""
+"""Gen-2 driver surface: SARIF, changed-only, baseline hygiene, and the
+linter's own lint.* metrics."""
 
 import json
 import os
@@ -8,7 +8,6 @@ import subprocess
 import pytest
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.cache import ResultCache
 from repro.analysis.cli import lint_main
 from repro.analysis.driver import lint_paths
 from repro.analysis.findings import Finding
@@ -39,70 +38,6 @@ def tree(tmp_path):
     cwd = os.getcwd()
     yield _enter
     os.chdir(cwd)
-
-
-class TestResultCache:
-    def test_second_run_is_a_hit_with_same_findings(self, tree):
-        tree({"core/clock.py": CLOCK_BUG})
-        cache = ResultCache("lint-cache.json")
-        rules = [get_rule("RL001")]
-        first = lint_paths(["."], rules=rules, cache=cache)
-        second = lint_paths(
-            ["."], rules=rules, cache=ResultCache("lint-cache.json")
-        )
-        assert not first.cache_hit and second.cache_hit
-        assert [f.fingerprint for f in second.findings] == [
-            f.fingerprint for f in first.findings
-        ]
-        assert second.suppressed == first.suppressed
-
-    def test_edit_invalidates(self, tree):
-        root = tree({"core/clock.py": CLOCK_BUG})
-        rules = [get_rule("RL001")]
-        lint_paths(["."], rules=rules, cache=ResultCache("c.json"))
-        (root / "core/clock.py").write_text(CLEAN)
-        result = lint_paths(["."], rules=rules, cache=ResultCache("c.json"))
-        assert not result.cache_hit
-        assert result.findings == []
-
-    def test_new_file_invalidates(self, tree):
-        root = tree({"core/a.py": CLEAN})
-        rules = [get_rule("RL001")]
-        lint_paths(["."], rules=rules, cache=ResultCache("c.json"))
-        (root / "core/b.py").write_text(CLOCK_BUG)
-        result = lint_paths(["."], rules=rules, cache=ResultCache("c.json"))
-        assert not result.cache_hit
-        assert len(result.findings) == 1
-
-    def test_different_rule_set_misses(self, tree):
-        tree({"core/a.py": CLEAN})
-        lint_paths(["."], rules=[get_rule("RL001")],
-                   cache=ResultCache("c.json"))
-        result = lint_paths(["."], rules=[get_rule("RL002")],
-                            cache=ResultCache("c.json"))
-        assert not result.cache_hit
-
-    def test_baseline_applies_after_replay(self, tree):
-        tree({"core/clock.py": CLOCK_BUG})
-        rules = [get_rule("RL001")]
-        first = lint_paths(["."], rules=rules, cache=ResultCache("c.json"))
-        baseline = Baseline.from_findings(first.findings)
-        replay = lint_paths(
-            ["."], rules=rules, cache=ResultCache("c.json"),
-            baseline=baseline,
-        )
-        assert replay.cache_hit
-        assert not replay.failed
-        assert all(f.baselined for f in replay.findings)
-
-    def test_corrupt_cache_degrades_to_live_run(self, tree):
-        root = tree({"core/clock.py": CLOCK_BUG})
-        (root / "c.json").write_text("{not json")
-        result = lint_paths(
-            ["."], rules=[get_rule("RL001")], cache=ResultCache("c.json")
-        )
-        assert not result.cache_hit
-        assert len(result.findings) == 1
 
 
 class TestSarif:
@@ -219,16 +154,13 @@ class TestSelfMetrics:
         tree({"core/a.py": CLEAN})
         reset_registry()
         try:
-            lint_paths(["."], rules=[get_rule("RL001")],
-                       cache=ResultCache("c.json"))
-            lint_paths(["."], rules=[get_rule("RL001")],
-                       cache=ResultCache("c.json"))
+            lint_paths(["."], rules=[get_rule("RL001")])
+            lint_paths(["."], rules=[get_rule("RL001")])
             registry = get_registry()
             sample = {
                 m.name: m for m in registry.collect()
             }
             assert sample[names.LINT_RUNS].value == 2
-            assert sample[names.LINT_CACHE_HITS].value == 1
             assert sample[names.LINT_FILES_CHECKED].value == 1
             assert sample[names.LINT_FINDINGS].value == 0
             assert sample[names.LINT_WALL_NS].count == 2

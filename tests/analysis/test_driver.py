@@ -153,7 +153,7 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005"):
+        for rule_id in ("RL001", "RL002", "RL003", "RL005"):
             assert rule_id in out
 
 

@@ -11,6 +11,7 @@ CATALOG = {
     "obs/trace.py": """
         class Stages:
             RX = "rx"
+            PRE_SHADE = "pre_shade"
             TX = "tx"
         """,
     # Anchor references so the shared fixtures never trip the orphan
@@ -86,6 +87,27 @@ class TestTraceStages:
         result = lint(with_catalog({"core/router.py": """
             def run(tracer):
                 tracer.record("rx", packets=1)
+            """}), rules=["RL003"])
+        assert rule_ids(result) == []
+
+    def test_measure_stage_typo_triggers(self, lint):
+        result = lint(with_catalog({"core/router.py": """
+            from repro.obs import get_tracer
+
+            def run(chunk):
+                with get_tracer().measure("pre_shdae", packets=len(chunk)):
+                    pass
+            """}), rules=["RL003"])
+        assert rule_ids(result) == ["RL003"]
+        assert "pre_shdae" in messages(result)
+
+    def test_measure_stage_constant_is_clean(self, lint):
+        result = lint(with_catalog({"core/router.py": """
+            from repro.obs import Stages, get_tracer
+
+            def run(chunk):
+                with get_tracer().measure(Stages.PRE_SHADE):
+                    pass
             """}), rules=["RL003"])
         assert rule_ids(result) == []
 

@@ -1,4 +1,9 @@
-"""RL004 fixtures: discards must carry adjacent drop accounting."""
+"""Drop-accounting fixtures, run against RL011.
+
+These cases were first written for RL004, the same-function drop check
+that RL011 replaced; RL011 keeps its detection exactly (it only also
+accepts accounting one resolved call away), so every case still holds.
+"""
 
 from tests.analysis.conftest import rule_ids
 
@@ -10,8 +15,8 @@ class TestSheddingGuards:
                 if self.ring_overflow:
                     return False
                 return self.write(frame)
-            """}, rules=["RL004"])
-        assert rule_ids(result) == ["RL004"]
+            """}, rules=["RL011"])
+        assert rule_ids(result) == ["RL011"]
 
     def test_unaccounted_should_fire_continue_triggers(self, lint):
         result = lint({"hw/nic.py": """
@@ -22,8 +27,8 @@ class TestSheddingGuards:
                         continue
                     out.append(frame)
                 return out
-            """}, rules=["RL004"])
-        assert rule_ids(result) == ["RL004"]
+            """}, rules=["RL011"])
+        assert rule_ids(result) == ["RL011"]
 
     def test_counted_overflow_is_clean(self, lint):
         result = lint({"io_engine/ring.py": """
@@ -32,7 +37,7 @@ class TestSheddingGuards:
                     self.stats.drops += 1
                     return False
                 return self.write(frame)
-            """}, rules=["RL004"])
+            """}, rules=["RL011"])
         assert rule_ids(result) == []
 
     def test_metric_inc_counts_as_accounting(self, lint):
@@ -43,7 +48,7 @@ class TestSheddingGuards:
                     return False
                 self._queue.append(chunk)
                 return True
-            """}, rules=["RL004"])
+            """}, rules=["RL011"])
         assert rule_ids(result) == []
 
     def test_raising_guard_is_clean(self, lint):
@@ -53,7 +58,7 @@ class TestSheddingGuards:
                 if self.overflow_imminent:
                     raise OverflowError("output queue overflow")
                 self._queue.append(chunk)
-            """}, rules=["RL004"])
+            """}, rules=["RL011"])
         assert rule_ids(result) == []
 
 
@@ -63,8 +68,8 @@ class TestVerdictDrops:
             def shed(self, chunk):
                 for verdict in chunk.verdicts:
                     verdict.drop()
-            """}, rules=["RL004"])
-        assert rule_ids(result) == ["RL004"]
+            """}, rules=["RL011"])
+        assert rule_ids(result) == ["RL011"]
 
     def test_infra_verdict_drop_with_accounting_is_clean(self, lint):
         result = lint({"core/framework.py": """
@@ -74,7 +79,7 @@ class TestVerdictDrops:
                     verdict.drop()
                     shed += 1
                 self.stats.backpressure_drops += shed
-            """}, rules=["RL004"])
+            """}, rules=["RL011"])
         assert rule_ids(result) == []
 
     def test_application_verdict_drop_is_exempt(self, lint):
@@ -83,5 +88,5 @@ class TestVerdictDrops:
             def pre_shade(self, chunk):
                 for verdict in chunk.verdicts:
                     verdict.drop()
-            """}, rules=["RL004"])
+            """}, rules=["RL011"])
         assert rule_ids(result) == []

@@ -1,4 +1,4 @@
-"""RL007 fixtures: hot-path wall-clock reads go through the profiler."""
+"""RL007 fixtures: hot-path wall-clock reads go through ``Tracer.measure``."""
 
 from pathlib import Path
 
@@ -60,23 +60,22 @@ class TestWallclockDetection:
 
 
 class TestExemptions:
-    def test_profiler_api_is_clean(self, lint):
-        # The sanctioned path: the profiler reads the clock, not the
+    def test_measure_api_is_clean(self, lint):
+        # The sanctioned path: the tracer reads the clock, not the
         # hot-path module.
         result = lint({"core/framework.py": """
-            from repro.obs import Stages, get_profiler
+            from repro.obs import Stages, get_tracer
 
             def shade(self, chunk):
-                with get_profiler().track(Stages.PRE_SHADE):
+                with get_tracer().measure(Stages.PRE_SHADE):
                     self.app.pre_shade(chunk)
-                return get_profiler().now_ns()
             """}, rules=["RL007"])
         assert rule_ids(result) == []
 
     def test_obs_layer_is_exempt(self, lint):
-        # The profiler itself (and everything in obs/) is the one layer
+        # The tracer itself (and everything in obs/) is the one layer
         # allowed to read the wall clock directly.
-        result = lint({"obs/profiler.py": """
+        result = lint({"obs/trace.py": """
             import time
 
             def now_ns():
@@ -116,7 +115,7 @@ class TestExemptions:
 
     def test_repo_tree_is_currently_clean(self):
         # core/ and io_engine/ route every wall-clock read through the
-        # profiler; new direct reads must do the same.
+        # tracer; new direct reads must do the same.
         repo_root = Path(__file__).resolve().parents[2]
         result = lint_paths([repo_root / "src"], rules=[get_rule("RL007")])
         assert [f.message for f in result.findings] == []

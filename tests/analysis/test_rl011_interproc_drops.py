@@ -2,19 +2,6 @@
 
 from tests.analysis.conftest import messages, rule_ids
 
-from repro.analysis.rules import default_rules, get_rule
-
-
-class TestSupersession:
-    def test_rl004_leaves_the_default_set(self):
-        ids = [rule.rule_id for rule in default_rules()]
-        assert "RL011" in ids
-        assert "RL004" not in ids
-
-    def test_rl004_still_selectable_explicitly(self):
-        assert get_rule("RL004").rule_id == "RL004"
-        assert get_rule("RL004").superseded_by == "RL011"
-
 
 class TestGuards:
     def test_unaccounted_guard_still_flagged(self, lint):
@@ -29,8 +16,8 @@ class TestGuards:
         assert rule_ids(result) == ["RL011"]
 
     def test_accounting_in_called_helper_clears_it(self, lint):
-        # RL004's known false positive: the bookkeeping was factored
-        # into a helper.  RL011 follows the resolved call edge.
+        # The bookkeeping was factored into a helper: a same-function
+        # check would flag this; RL011 follows the resolved call edge.
         files = {
             "core/intake.py": """
                 class Intake:
@@ -44,7 +31,6 @@ class TestGuards:
                         self.stats_dropped += len(chunk)
             """,
         }
-        assert rule_ids(lint(files, rules=["RL004"])) == ["RL004"]
         assert lint(files, rules=["RL011"]).findings == []
 
     def test_helper_without_accounting_does_not_clear(self, lint):
@@ -109,7 +95,6 @@ class TestVerdictDrops:
                         self.m_dropped.inc(len(chunk))
             """,
         }
-        assert rule_ids(lint(files, rules=["RL004"])) == ["RL004"]
         assert lint(files, rules=["RL011"]).findings == []
 
     def test_drop_helper_with_accounting_callers_cleared(self, lint):

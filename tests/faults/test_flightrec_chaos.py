@@ -17,20 +17,17 @@ from repro.obs.flightrec import (
     load_dump,
     reset_flightrec,
 )
-from repro.obs.profiler import reset_profiler
 
 
 @pytest.fixture(autouse=True)
 def fresh_obs():
     reset_registry()
-    reset_tracer()
     reset_flightrec()
-    reset_profiler()
+    reset_tracer()
     yield
     reset_registry()
-    reset_tracer()
     reset_flightrec()
-    reset_profiler()
+    reset_tracer()
 
 
 def _events_by_label(recorder, kind):

@@ -19,7 +19,6 @@ from repro.obs.flightrec import (
     load_dump,
     reset_flightrec,
 )
-from repro.obs.profiler import reset_profiler
 
 SEEDS = (1, 2, 3)
 FLOODS = ("heavy-tail", "syn-flood", "ddos")
@@ -28,14 +27,12 @@ FLOODS = ("heavy-tail", "syn-flood", "ddos")
 @pytest.fixture(autouse=True)
 def fresh_obs():
     reset_registry()
-    reset_tracer()
     reset_flightrec()
-    reset_profiler()
+    reset_tracer()
     yield
     reset_registry()
-    reset_tracer()
     reset_flightrec()
-    reset_profiler()
+    reset_tracer()
 
 
 class TestFloodConservation:

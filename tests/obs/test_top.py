@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs import names
 from repro.obs.flightrec import Events, reset_flightrec
-from repro.obs.profiler import reset_profiler
 from repro.obs.registry import get_registry, reset_registry
 from repro.obs.top import TopView, _ns, _si, top_main
 from repro.obs.trace import Stages, reset_tracer
@@ -13,14 +12,12 @@ from repro.obs.trace import Stages, reset_tracer
 @pytest.fixture(autouse=True)
 def fresh_obs():
     reset_registry()
-    reset_tracer()
     reset_flightrec()
-    reset_profiler()
+    reset_tracer()
     yield
     reset_registry()
-    reset_tracer()
     reset_flightrec()
-    reset_profiler()
+    reset_tracer()
 
 
 class TestFormatting:

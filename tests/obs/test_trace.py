@@ -1,7 +1,10 @@
-"""Unit tests for span tracing."""
+"""Unit tests for span tracing and the two-clock ``measure`` point."""
 
 import pytest
 
+from repro.obs import names
+from repro.obs.flightrec import Events, reset_flightrec
+from repro.obs.registry import WALL_NS_BUCKETS, get_registry, reset_registry
 from repro.obs.trace import (
     PIPELINE_ORDER,
     Stages,
@@ -10,6 +13,22 @@ from repro.obs.trace import (
     reset_tracer,
     set_tracer,
 )
+
+
+@pytest.fixture
+def fresh_obs():
+    reset_registry()
+    reset_flightrec()
+    yield reset_tracer()
+    reset_registry()
+    reset_flightrec()
+    reset_tracer()
+
+
+def _wall_histogram(stage):
+    return get_registry().histogram(
+        names.PROF_STAGE_WALL_NS, buckets=WALL_NS_BUCKETS, stage=stage,
+    )
 
 
 class TestRecord:
@@ -45,7 +64,7 @@ class TestRecord:
     def test_disabled_tracer_records_nothing(self):
         t = Tracer(enabled=False)
         t.record(Stages.RX, packets=1)
-        with t.span(Stages.TX):
+        with t.measure(Stages.TX, packets=1):
             pass
         assert t.summary() == {}
         assert t.events() == []
@@ -76,15 +95,89 @@ class TestStageCost:
         assert cost.ns_per_packet() == 0.0
 
 
-class TestWallClockSpan:
-    def test_span_measures_elapsed_ns(self):
+@pytest.mark.usefixtures("fresh_obs")
+class TestMeasure:
+    def test_measured_region_lands_in_the_stage_histogram(self):
         t = Tracer()
-        with t.span("wall", packets=2):
+        with t.measure(Stages.PRE_SHADE, packets=4, cycles=40.0):
             pass
-        cost = t.stage("wall")
-        assert cost.spans == 1
-        assert cost.packets == 2
-        assert cost.ns > 0.0
+        histogram = _wall_histogram(Stages.PRE_SHADE)
+        assert histogram.count == 1
+        assert histogram.sum > 0  # perf_counter_ns ticked
+        cost = t.stage(Stages.PRE_SHADE)
+        assert (cost.spans, cost.packets, cost.cycles) == (1, 4, 40.0)
+
+    def test_stages_do_not_share_histograms(self):
+        t = Tracer()
+        with t.measure(Stages.PRE_SHADE):
+            pass
+        with t.measure(Stages.POST_SHADE):
+            pass
+        assert _wall_histogram(Stages.PRE_SHADE).count == 1
+        assert _wall_histogram(Stages.POST_SHADE).count == 1
+
+    def test_disabled_tracer_touches_neither_clock(self):
+        t = Tracer(enabled=False)
+        with t.measure(Stages.GPU, packets=3) as span:
+            span.ns = 10.0
+        assert _wall_histogram(Stages.GPU).count == 0
+        assert t.summary() == {}
+        assert t.events() == []
+
+    def test_raising_region_gives_a_wall_sample_and_no_span(self):
+        t = Tracer()
+        with pytest.raises(RuntimeError):
+            with t.measure(Stages.GPU, packets=64):
+                raise RuntimeError("kernel fault")
+        assert _wall_histogram(Stages.GPU).count == 1
+        assert t.stage(Stages.GPU) is None
+        assert t.events() == []
+
+    def test_fields_set_inside_the_block_are_recorded(self):
+        t = Tracer()
+        with t.measure(Stages.GPU, packets=8) as span:
+            span.ns = 1234.0
+            span.meta["kernel"] = "ipv4"
+        (event,) = t.events()
+        assert event is span
+        assert (event.seq, event.packets, event.ns) == (1, 8, 1234.0)
+        assert event.meta == {"kernel": "ipv4"}
+        assert t.stage(Stages.GPU).ns == 1234.0
+
+    def test_empty_span_is_not_recorded(self):
+        t = Tracer()
+        with t.measure(Stages.RX):
+            pass  # an empty poll: no packets, no cost
+        assert _wall_histogram(Stages.RX).count == 1
+        assert t.summary() == {}
+        assert t.events() == []
+
+    def test_exemplar_is_the_recorder_seq(self):
+        recorder = reset_flightrec()
+        t = reset_tracer()
+        recorder.note(Events.GPU_RETRY, "0", 1)
+        recorder.note(Events.GPU_RETRY, "0", 2)
+        with t.measure(Stages.GPU):
+            pass
+        exemplars = list(_wall_histogram(Stages.GPU).exemplars.values())
+        assert len(exemplars) == 1
+        seq, value = exemplars[0]
+        assert seq == 2  # the event in flight when the sample landed
+        assert value > 0
+
+    def test_reset_rebinds_to_the_current_registry_and_recorder(self):
+        reset_registry()
+        recorder = reset_flightrec()
+        recorder.note(Events.RX, "0:0", 8)
+        t = reset_tracer()
+        assert t is get_tracer()
+        with t.measure(Stages.PRE_SHADE):
+            pass
+        # The observation landed in the *new* registry, stamped with
+        # the *new* recorder's seq.
+        histogram = _wall_histogram(Stages.PRE_SHADE)
+        assert histogram.count == 1
+        assert [seq for seq, _ in histogram.exemplars.values()] == [1]
 
 
 class TestReading:

@@ -20,7 +20,8 @@ import pytest
 from repro.core.chunk import Chunk
 from repro.faults.scenarios import run_scenario
 from repro.io_engine.rss import ShardMap
-from repro.obs import get_registry, names
+from repro.obs import Stages, get_registry, names
+from repro.obs.shm import read_slab
 from repro.shard.plane import (
     PlaneSpec,
     ShardedDataPlane,
@@ -148,6 +149,23 @@ class TestDifferential:
         assert second.master_batches == batches.value - before
         assert 0 < second.master_batches <= second.master_chunks
 
+    def test_worker_wall_samples_land_in_the_worker_slab(self):
+        """Each worker installs its slab registry and flight recorder
+        before its tracer, so every pre/post-shade ``measure`` lands in
+        its own slab: one wall sample per stage per chunk it finished."""
+        with ShardedDataPlane(small_spec(workers=2)) as plane:
+            report = plane.run()
+            registries = [read_slab(slab) for slab in plane.slabs]
+        assert [w.worker_id for w in report.workers] == [0, 1]
+        for worker, registry in zip(report.workers, registries):
+            assert worker.chunks > 0
+            for stage in (Stages.PRE_SHADE, Stages.POST_SHADE):
+                histogram = registry.get(
+                    names.PROF_STAGE_WALL_NS, stage=stage
+                )
+                assert histogram is not None
+                assert histogram.count == worker.chunks
+
     def test_fallback_chunks_still_match_reference(self):
         """A one-slot pool starves the RX edge, so most chunks cross
         the boundary as heap byte copies — the totals must still match
@@ -202,6 +220,10 @@ class TestScatter:
         scatter_chunk(queue, chunk)
         clone = pickle.loads(pickle.dumps(queue.items[0]))
         assert bytes(clone.frames[0]) == b"\xcc" * 80
+        # A detached chunk ships as owned bytes, repacked on the wire
+        # only: the receiver gets a packed chunk, the sender is untouched.
+        assert clone.is_packed
+        assert not chunk.is_packed
 
     def test_shm_chunk_views_are_dropped_after_scatter(self):
         from repro.shard.pool import ShmChunkPool

@@ -135,7 +135,6 @@ class TestDescriptorWire:
         state = pool.build_chunk(frames_of(2, 128)).__getstate__()
         assert isinstance(state["_shm"], ChunkShmRef)
         assert state["_store_bytes"] is None
-        assert state["_loose_frames"] is None
 
     def test_clone_aliases_the_sender_slot(self, pool):
         """The round-tripped chunk maps the *same* slot memory: a write
