@@ -226,6 +226,23 @@ class FrameBatch:
             mask &= self.lengths >= pos + len(expected)
         return mask
 
+    def head(self, width: int) -> np.ndarray:
+        """``(n, width)`` matrix of every frame's first ``width`` bytes.
+
+        Bytes past the end of a shorter frame read as 0.  Uniform
+        batches at least ``width`` long return a *view* — do not mutate.
+        """
+        if self.grid is not None and self.grid.shape[1] >= width:
+            return self.grid[:, :width]
+        out = np.zeros((len(self), width), dtype=np.uint8)
+        if self.grid is not None:
+            out[:, :self.grid.shape[1]] = self.grid
+        elif len(self.buf):
+            columns = np.arange(width, dtype=np.int64)
+            valid = columns[None, :] < self.lengths[:, None]
+            out[valid] = self.buf[(self.offsets[:, None] + columns)[valid]]
+        return out
+
     def gather(self, indices: np.ndarray, start: int, width: int) -> np.ndarray:
         """``(len(indices), width)`` byte matrix of a fixed header slice.
 

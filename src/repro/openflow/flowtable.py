@@ -8,6 +8,15 @@ the CPU (Figure 11c) and embarrassingly parallel on the GPU.
 
 Wildcard entries support per-field wildcard bits plus CIDR masks on the
 IP fields ("bitmask is also available for IP addresses", Section 6.2.3).
+
+Both tables also serve the columnar data path over packed keys
+(:func:`repro.openflow.flowkey.pack_flow_keys`): :func:`fnv1a_hash_rows`
+hashes every key at once, :meth:`WildcardTable.first_match` compiles
+the rules into (mask, value) rows over the packed layout and scans them
+for all keys together, and :meth:`ExactMatchTable.occupied` screens out
+keys whose bucket is empty before any scalar probe.  ``fnv1a_hash``,
+:meth:`WildcardTable.lookup` and :meth:`WildcardEntry.matches` stay as
+the scalar oracle.
 """
 
 from __future__ import annotations
@@ -16,21 +25,37 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.obs import Events, get_flightrec, get_registry, names
-from repro.openflow.flowkey import FlowKey
+from repro.openflow.flowkey import KEY_BYTES, KEY_LAYOUT, FlowKey
+
+_FNV_OFFSET = 0x811C9DC5
+_FNV_PRIME = 0x01000193
+#: Packed keys are padded to this many bytes and matched as uint64 words.
+_WORD_BYTES = 32
 
 
 def fnv1a_hash(data: bytes) -> int:
     """FNV-1a 32-bit — a simple, GPU-friendly key hash.
 
-    Deliberately a pure streaming byte hash: it vectorises trivially (the
-    GPU kernel computes it per packet) and the CPU/GPU implementations in
-    the apps layer share this exact function, so offloaded results are
-    bit-identical.
+    Deliberately a pure streaming byte hash: it vectorises trivially
+    (:func:`fnv1a_hash_rows` is the same hash over a key matrix), so
+    offloaded results are bit-identical to CPU ones.
     """
-    value = 0x811C9DC5
+    value = _FNV_OFFSET
     for byte in data:
-        value = ((value ^ byte) * 0x01000193) & 0xFFFFFFFF
+        value = ((value ^ byte) * _FNV_PRIME) & 0xFFFFFFFF
+    return value
+
+
+def fnv1a_hash_rows(keys: np.ndarray) -> np.ndarray:
+    """``fnv1a_hash`` of every row of an ``(n, width)`` uint8 matrix."""
+    value = np.full(len(keys), _FNV_OFFSET, dtype=np.uint32)
+    prime = np.uint32(_FNV_PRIME)
+    for column in keys.T:
+        value ^= column
+        value *= prime
     return value
 
 
@@ -84,6 +109,9 @@ class ExactMatchTable:
             [] for _ in range(num_buckets)
         ]
         self._count = 0
+        #: Entries per bucket: the columnar path probes only keys whose
+        #: bucket holds any.
+        self._occupancy = np.zeros(num_buckets, dtype=np.int32)
         #: Insertion order for FIFO eviction (slots may go stale when a
         #: flow is removed explicitly; eviction skips those).
         self._fifo: Deque[FlowKey] = deque()
@@ -117,7 +145,8 @@ class ExactMatchTable:
         the oldest flow is evicted to make room (replacements of an
         existing key never evict).
         """
-        bucket = self._buckets[self._bucket_of(key)]
+        bucket_index = self._bucket_of(key)
+        bucket = self._buckets[bucket_index]
         for index, (existing, _, stats) in enumerate(bucket):
             if existing == key:
                 bucket[index] = (key, actions, stats)
@@ -134,6 +163,7 @@ class ExactMatchTable:
             self._evict_oldest()
         bucket.append((key, actions, FlowStats()))
         self._count += 1
+        self._occupancy[bucket_index] += 1
         self._fifo.append(key)
         self._per_source[key.nw_src] = (
             self._per_source.get(key.nw_src, 0) + 1
@@ -152,11 +182,13 @@ class ExactMatchTable:
 
     def _unlink(self, key: FlowKey) -> bool:
         """Remove a key from its bucket and the per-source ledger."""
-        bucket = self._buckets[self._bucket_of(key)]
+        bucket_index = self._bucket_of(key)
+        bucket = self._buckets[bucket_index]
         for index, (existing, _, _) in enumerate(bucket):
             if existing == key:
                 del bucket[index]
                 self._count -= 1
+                self._occupancy[bucket_index] -= 1
                 held = self._per_source.get(key.nw_src, 0) - 1
                 if held > 0:
                     self._per_source[key.nw_src] = held
@@ -168,6 +200,10 @@ class ExactMatchTable:
     def remove(self, key: FlowKey) -> bool:
         """Delete an entry; True if it existed."""
         return self._unlink(key)
+
+    def occupied(self, key_hashes: np.ndarray) -> np.ndarray:
+        """Mask of hashes whose bucket holds at least one entry."""
+        return self._occupancy[key_hashes % np.uint32(self.num_buckets)] > 0
 
     def lookup(
         self, key: FlowKey, key_hash: Optional[int] = None, frame_len: int = 0
@@ -227,12 +263,42 @@ class WildcardEntry:
                 return False
         return True
 
+    def compile(self) -> Optional[Tuple[bytes, bytes]]:
+        """``(mask, value)`` bytes over the padded packed key, or None.
+
+        A key matches exactly when ``key & mask == value`` — the rule as
+        a ternary match over header bytes.  A present IP field with CIDR
+        length 0 compares all 32 bits, as :meth:`matches` does.  None
+        when a required value does not fit its field, so no key can
+        match.
+        """
+        mask = bytearray(_WORD_BYTES)
+        value = bytearray(_WORD_BYTES)
+        cidr = {"nw_src": self.nw_src_mask, "nw_dst": self.nw_dst_mask}
+        for name, required in self.fields.items():
+            start, width = KEY_LAYOUT[name]
+            bits = 8 * width
+            if not 0 <= required < 1 << bits:
+                return None
+            kept = cidr.get(name) or bits
+            field_mask = ((1 << kept) - 1) << (bits - kept)
+            mask[start:start + width] = field_mask.to_bytes(width, "big")
+            value[start:start + width] = (required & field_mask).to_bytes(
+                width, "big"
+            )
+        return bytes(mask), bytes(value)
+
 
 class WildcardTable:
-    """Priority-ordered wildcard rules with linear-search lookup."""
+    """Priority-ordered wildcard rules with linear-search lookup.
+
+    Entries are not edited once added: the compiled match table is
+    rebuilt only when :meth:`add` changes the rule list.
+    """
 
     def __init__(self) -> None:
         self._entries: List[WildcardEntry] = []
+        self._compiled: Optional[Tuple[np.ndarray, ...]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -246,6 +312,46 @@ class WildcardTable:
         ):
             index += 1
         self._entries.insert(index, entry)
+        self._compiled = None
+
+    def _match_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(entry index, key words, masks, values)`` of every matchable
+        rule in priority order, compiled on first use after a change.
+
+        Only the uint64 key words some rule constrains are kept.
+        """
+        if self._compiled is None:
+            rows, masks, values = [], [], []
+            for index, entry in enumerate(self._entries):
+                compiled = entry.compile()
+                if compiled is not None:
+                    rows.append(index)
+                    masks.append(compiled[0])
+                    values.append(compiled[1])
+            shape = (len(rows), _WORD_BYTES // 8)
+            masks = np.frombuffer(b"".join(masks), np.uint64).reshape(shape)
+            values = np.frombuffer(b"".join(values), np.uint64).reshape(shape)
+            used = np.flatnonzero(masks.any(axis=0))
+            self._compiled = (
+                np.array(rows, dtype=np.int32), used,
+                masks[:, used], values[:, used],
+            )
+        return self._compiled
+
+    def first_match(self, keys: np.ndarray) -> np.ndarray:
+        """Index of the first (highest-priority) rule matching each packed
+        key, or -1: :meth:`lookup` for a ``(n, 31)`` key matrix at once."""
+        result = np.full(len(keys), -1, dtype=np.int32)
+        rows, used, masks, values = self._match_table()
+        if not len(keys) or not len(rows):
+            return result
+        padded = np.zeros((len(keys), _WORD_BYTES), dtype=np.uint8)
+        padded[:, :KEY_BYTES] = keys
+        words = padded.view(np.uint64)[:, None, used]
+        hits = ((words & masks) == values).all(axis=2)
+        found = hits.any(axis=1)
+        result[found] = rows[hits[found].argmax(axis=1)]
+        return result
 
     def lookup(self, key: FlowKey, frame_len: int = 0) -> Tuple[Optional[WildcardEntry], int]:
         """Highest-priority matching rule; returns (entry or None, compared).

@@ -4,9 +4,10 @@ The perf scorecard (``runner.py``) measures *simulated* fidelity — its
 committed artifacts are deterministic and carry no timing.  This module
 measures the other axis: how fast the reproduction itself runs.  Each
 microbenchmark times the pre-vectorization per-packet formulation
-(:mod:`repro.apps.scalar_ref`) against the structure-of-arrays fast path
-on identical inputs, so future PRs can see wall-clock regressions in
-``bench-history.jsonl`` (git-ignored: timings are per-machine).
+(:mod:`repro.apps.scalar_ref`, or the OpenFlow switch's scalar key
+path) against the structure-of-arrays fast path on identical inputs,
+so future PRs can see wall-clock regressions in ``bench-history.jsonl``
+(git-ignored: timings are per-machine).
 
 Invoked as ``python -m repro bench --wallclock``.  Methodology:
 interleaved best-of-``repeat`` timing of a loop over pre-built chunks
@@ -27,8 +28,11 @@ from repro.apps import scalar_ref
 from repro.apps.ipv4 import IPv4Forwarder
 from repro.core.chunk import Chunk
 from repro.gen.packetgen import PacketGenerator
+from repro.gen.workloads import openflow_workload
 from repro.lookup.dir24_8 import Dir24_8
 from repro.net.checksum import checksum16, checksum16_batch
+from repro.openflow.flowkey import extract_flow_key, pack_flow_keys
+from repro.openflow.flowtable import fnv1a_hash, fnv1a_hash_rows
 from repro.perf import runner, schema
 
 #: Chunk sizes the classification benchmark sweeps (the acceptance
@@ -98,6 +102,41 @@ def bench_ipv4_classify(chunk_size: int) -> Dict[str, object]:
     packets = chunk_size * CHUNKS_PER_RUN
     return {
         "bench": "ipv4_classify",
+        "chunk_size": chunk_size,
+        "packets": packets,
+        "scalar_us_per_packet": round(scalar_s / packets * 1e6, 4),
+        "vector_us_per_packet": round(vector_s / packets * 1e6, 4),
+        "speedup": round(scalar_s / vector_s, 2),
+    }
+
+
+def bench_openflow_classify(chunk_size: int) -> Dict[str, object]:
+    """OpenFlow key path: per-key extract, FNV-1a and wildcard scan (the
+    scalar oracle) vs packed keys, row hash and compiled first match."""
+    workload = openflow_workload(num_exact=2048, num_wildcard=32, seed=1)
+    wildcard = workload.switch.wildcard
+    chunks = [
+        Chunk(frames=workload.generator.ipv4_burst(chunk_size))
+        for _ in range(CHUNKS_PER_RUN)
+    ]
+
+    def run_scalar() -> None:
+        for chunk in chunks:
+            for frame in chunk.frames:
+                key = extract_flow_key(bytes(frame), chunk.in_port)
+                fnv1a_hash(key.pack())
+                wildcard.lookup(key)
+
+    def run_vector() -> None:
+        for chunk in chunks:
+            keys, _ = pack_flow_keys(chunk.batch(), chunk.in_port)
+            fnv1a_hash_rows(keys)
+            wildcard.first_match(keys)
+
+    scalar_s, vector_s = _best_of_pair(run_scalar, run_vector)
+    packets = chunk_size * CHUNKS_PER_RUN
+    return {
+        "bench": "openflow_classify",
         "chunk_size": chunk_size,
         "packets": packets,
         "scalar_us_per_packet": round(scalar_s / packets * 1e6, 4),
@@ -210,6 +249,8 @@ def run_wallclock() -> List[Dict[str, object]]:
     results: List[Dict[str, object]] = []
     for chunk_size in CHUNK_SIZES:
         results.append(bench_ipv4_classify(chunk_size))
+    for chunk_size in CHUNK_SIZES:
+        results.append(bench_openflow_classify(chunk_size))
     results.append(bench_checksum())
     results.append(bench_egress_distribution())
     return results

@@ -1,10 +1,16 @@
 """The OpenFlow application on the framework."""
 
+import pickle
+
+import pytest
 
 from repro.apps.openflow import OpenFlowApp
 from repro.core.chunk import Chunk, Disposition
+from repro.core.config import RouterConfig
+from repro.core.framework import PacketShader
 from repro.gen.workloads import openflow_workload
-from repro.net.packet import build_udp_ipv4
+from repro.hw.gpu import GPUDevice
+from repro.net.packet import build_tcp_ipv4, build_udp_ipv4
 from repro.openflow.actions import output
 from repro.openflow.flowkey import extract_flow_key
 from repro.openflow.flowtable import WildcardEntry
@@ -69,6 +75,95 @@ class TestDataPath:
         chunk = chunk_of([bytearray(8)])
         app.cpu_process(chunk)
         assert chunk.verdicts[0].disposition is Disposition.DROP
+
+
+def _ihl_six():
+    frame = build_udp_ipv4(1, 2, 3, 4)
+    frame[14] = 0x46  # IPv4 header with options
+    return frame
+
+
+def _version_six():
+    frame = build_udp_ipv4(1, 2, 3, 4)
+    frame[14] = 0x65  # ethertype 0x0800, version 6
+    return frame
+
+
+def _short_vlan(length):
+    frame = build_udp_ipv4(1, 2, 3, 4)[:length]
+    frame[12:14] = b"\x81\x00"  # an 802.1Q tag cut short
+    return frame
+
+
+def _tcp_offset_four():
+    frame = build_tcp_ipv4(1, 2, 3, 4)
+    frame[14 + 20 + 12] = 0x40  # data offset below the 5-word minimum
+    return frame
+
+
+MALFORMED = {
+    "ihl-6": _ihl_six,
+    "version-6": _version_six,
+    "vlan-14": lambda: _short_vlan(14),
+    "vlan-17": lambda: _short_vlan(17),
+    "tcp-offset-4": _tcp_offset_four,
+}
+
+
+class TestMalformedFrames:
+    """Frames the key parse rejects are dropped, never raised."""
+
+    @pytest.mark.parametrize("use_gpu", [True, False], ids=["gpu", "cpu"])
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_dropped_and_conserved(self, kind, use_gpu):
+        frames = [build_udp_ipv4(5, 6, 7, 8), MALFORMED[kind](),
+                  build_udp_ipv4(9, 10, 11, 12)]
+        router = PacketShader(
+            OpenFlowApp(OpenFlowSwitch()), RouterConfig(use_gpu=use_gpu)
+        )
+        router.process_frames(frames)
+        stats = router.stats
+        assert stats.received == 3
+        assert stats.received == (
+            stats.forwarded + stats.dropped + stats.slow_path
+        )
+        assert (stats.dropped, stats.slow_path) == (1, 2)
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_verdict_is_drop(self, kind):
+        app = OpenFlowApp(OpenFlowSwitch())
+        chunk = chunk_of([MALFORMED[kind](), build_udp_ipv4(1, 2, 3, 4)])
+        app.cpu_process(chunk)
+        assert chunk.verdicts[0].disposition is Disposition.DROP
+        assert chunk.verdicts[1].disposition is Disposition.SLOW_PATH
+        assert len(app.switch.controller_queue) == 1
+
+
+class TestAcrossThePlane:
+    def test_wildcard_hits_count_on_the_worker_table(self):
+        """The kernel output names rules by index, so a worker counts
+        wildcard hits on its own entries even when the kernel ran on a
+        master's copy of the tables in another process."""
+        worker = OpenFlowApp(openflow_workload(2048, 32, seed=1).switch)
+        master = OpenFlowApp(openflow_workload(2048, 32, seed=1).switch)
+        frames = openflow_workload(2048, 32, seed=1).generator.ipv4_burst(
+            2048, 64
+        )
+        chunk = chunk_of(frames)
+        work = pickle.loads(pickle.dumps(worker.pre_shade(chunk)))
+        master.bind_kernel(work)
+        output = pickle.loads(
+            pickle.dumps(work.launch_on(GPUDevice()).output)
+        )
+        worker.post_shade(chunk, output)
+        hits = worker.switch.counters.wildcard_hits
+        assert hits > 0
+        assert sum(
+            entry.stats.packets for entry in worker.switch.wildcard.entries()
+        ) == hits
+        assert not any(
+            entry.stats.packets for entry in master.switch.wildcard.entries()
+        )
 
 
 class TestCostHooks:

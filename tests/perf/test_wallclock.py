@@ -30,11 +30,20 @@ class TestMicrobenchmarks:
         assert result["vector_us_per_packet"] > 0
         assert result["speedup"] > 0
 
+    def test_openflow_classify_reports_both_formulations(self, monkeypatch):
+        shrink(monkeypatch)
+        result = wallclock.bench_openflow_classify(8)
+        assert result["bench"] == "openflow_classify"
+        assert (result["chunk_size"], result["packets"]) == (8, 16)
+        assert result["scalar_us_per_packet"] > 0
+        assert result["vector_us_per_packet"] > 0
+
     def test_run_wallclock_covers_every_bench(self, monkeypatch):
         shrink(monkeypatch)
         results = wallclock.run_wallclock()
         assert [entry["bench"] for entry in results] == [
             "ipv4_classify",
+            "openflow_classify",
             "checksum16",
             "egress_distribution",
         ]
