@@ -44,6 +44,8 @@ CHUNK_SIZES = (64, 256)
 #: scheduler/GC contention that can poison a whole 5-sample window.
 CHUNKS_PER_RUN = 16
 REPEAT = 9
+#: Frames per generated burst: one shard-plane burst before partitioning.
+GEN_BURST = 2048
 
 
 def _best_of_pair(
@@ -203,6 +205,29 @@ def bench_egress_distribution(
     }
 
 
+def bench_packet_gen() -> Dict[str, object]:
+    """Per-frame scalar builds vs one column-written burst (same bytes)."""
+    burst = GEN_BURST
+    scalar_gen = PacketGenerator(seed=6100)
+    vector_gen = PacketGenerator(seed=6100)
+
+    def run_scalar() -> None:
+        for _ in range(burst):
+            scalar_gen.random_ipv4_frame(64)
+
+    def run_vector() -> None:
+        vector_gen.ipv4_burst(burst, 64)
+
+    scalar_s, vector_s = _best_of_pair(run_scalar, run_vector)
+    return {
+        "bench": "packet_gen",
+        "burst": burst,
+        "scalar_us_per_packet": round(scalar_s / burst * 1e6, 4),
+        "vector_us_per_packet": round(vector_s / burst * 1e6, 4),
+        "speedup": round(scalar_s / vector_s, 2),
+    }
+
+
 def run_scaling_wallclock(
     worker_counts: Tuple[int, ...] = (1, 2),
     app: str = "ipv4",
@@ -253,6 +278,7 @@ def run_wallclock() -> List[Dict[str, object]]:
         results.append(bench_openflow_classify(chunk_size))
     results.append(bench_checksum())
     results.append(bench_egress_distribution())
+    results.append(bench_packet_gen())
     return results
 
 
@@ -291,7 +317,11 @@ def format_wallclock(results: List[Dict[str, object]]) -> str:
     header = f"{'bench':<22} {'size':>5} {'scalar':>10} {'vector':>10} {'speedup':>8}"
     lines = [header, "-" * len(header)]
     for entry in results:
-        size = entry.get("chunk_size", entry.get("regions", "-"))
+        size = next(
+            (entry[key] for key in ("chunk_size", "regions", "burst")
+             if key in entry),
+            "-",
+        )
         scalar = entry.get(
             "scalar_us_per_packet", entry.get("scalar_us_per_region")
         )

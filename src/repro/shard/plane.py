@@ -43,7 +43,7 @@ import queue as _stdlib_queue
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.calib.constants import SYSTEM
 from repro.core.config import RouterConfig
@@ -235,19 +235,21 @@ def _build_app(spec: PlaneSpec):
     raise ValueError(f"unknown app {spec.app!r}")
 
 
-def shard_bursts(spec: PlaneSpec, shard: int, burst_fn) -> List[List[bytearray]]:
+def shard_bursts(spec: PlaneSpec, shard: int, burst_fn) -> Iterator[List[bytearray]]:
     """One shard's sub-stream: the full stream, RSS-partitioned.
 
     ``burst_fn`` is a fresh :func:`_build_app` burst function for
-    ``spec``.  A single :class:`ShardMap` persists across bursts so the
-    round-robin fallback for unhashable frames stays globally
-    deterministic — re-partitioning the same stream always lands every
-    frame on the same shard.
+    ``spec``.  Bursts are generated one at a time as the caller asks, so
+    a worker holds one burst, not the whole stream.  A single
+    :class:`ShardMap` persists across bursts so the round-robin fallback
+    for unhashable frames stays globally deterministic — re-partitioning
+    the same stream always lands every frame on the same shard.
     """
     from repro.io_engine.rss import ShardMap
 
     shard_map = ShardMap(spec.workers)
-    return [shard_map.partition(burst_fn())[shard] for _ in range(spec.bursts)]
+    for _ in range(spec.bursts):
+        yield shard_map.partition(burst_fn())[shard]
 
 
 def _count_egress(counts: Counter, egress: Dict[int, List]) -> None:

@@ -17,6 +17,7 @@ def shrink(monkeypatch):
     """Tiny workloads: the harness shape is identical, the runtime isn't."""
     monkeypatch.setattr(wallclock, "CHUNK_SIZES", (8,))
     monkeypatch.setattr(wallclock, "CHUNKS_PER_RUN", 2)
+    monkeypatch.setattr(wallclock, "GEN_BURST", 16)
 
 
 class TestMicrobenchmarks:
@@ -46,6 +47,7 @@ class TestMicrobenchmarks:
             "openflow_classify",
             "checksum16",
             "egress_distribution",
+            "packet_gen",
         ]
         assert all(entry["speedup"] > 0 for entry in results)
 

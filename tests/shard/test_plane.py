@@ -82,7 +82,7 @@ class TestShardMap:
     def test_shard_bursts_union_is_the_full_stream(self):
         spec = small_spec(seed=2)
         per_shard = [
-            shard_bursts(spec, wid, _build_app(spec)[1])
+            list(shard_bursts(spec, wid, _build_app(spec)[1]))
             for wid in range(spec.workers)
         ]
         assert all(len(b) == spec.bursts for b in per_shard)
