@@ -28,11 +28,12 @@ same measurement machinery, permanently resident:
   of compact structured events with post-mortem JSONL dumps;
 * :mod:`repro.obs.shm` — shared-memory metric slabs: the per-writer-
   process registry backend plus the aggregator that merges slabs back
-  into one registry snapshot (the sharded data plane's substrate);
-* :mod:`repro.obs.multiproc` — worker-fleet lifecycle over the slabs
-  (imported lazily by the CLI and tests, not from here);
-* :mod:`repro.obs.top` — the live ``repro top`` dashboard, including
-  the multi-worker panes (imported lazily by the CLI, not from here).
+  into one registry snapshot.  Their one owner is the sharded data
+  plane (:class:`repro.shard.plane.ShardedDataPlane`), which creates a
+  slab per worker and unlinks them all;
+* :mod:`repro.obs.top` — the live ``repro top`` dashboard, plus the
+  per-process pane renderer ``repro run`` uses for the plane's workers
+  and master (imported lazily by the CLI, not from here).
 
 See ``docs/OBSERVABILITY.md`` for the API guide and conventions.
 """

@@ -186,7 +186,7 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
 
     On Python < 3.13 the tracker registers shared memory on *attach*
     too, so a foreign reader (own tracker daemon) exiting would unlink
-    the writer's live segment out from under everyone else.  Fleet
+    the writer's live segment out from under everyone else.  Plane
     children share the creator's daemon and are skipped — see the
     tracker-token check in :meth:`MetricSlab.attach`.  The creating
     process keeps its registration and owns cleanup via
@@ -261,7 +261,7 @@ class MetricSlab:
         header[_H_DIR_CAP] = dir_cap
         header[_H_DATA_CAP] = data_cap
         header[_H_NBYTES] = nbytes
-        # Which tracker daemon holds the creator's registration: fleet
+        # Which tracker daemon holds the creator's registration: plane
         # children share it (their duplicate attach registration is a
         # set no-op and must NOT be unregistered — the daemon keeps one
         # entry per name), while a foreign reader has its own tracker
@@ -560,7 +560,7 @@ def merge_into(target: MetricsRegistry, source: MetricsRegistry) -> MetricsRegis
 
     Counters and histogram buckets add exactly (merge is associative
     and commutative — the property suite pins this); gauges also add,
-    so an aggregate depth gauge is the fleet-wide total and an
+    so an aggregate depth gauge is the total over writers and an
     aggregate boolean flag reads as "how many writers assert it".
     Histogram bounds must agree; a mismatch raises rather than merging
     incomparable series.

@@ -8,16 +8,13 @@ depths, breaker state per device, drop attribution, and the tail of the
 flight recorder's event ring.  ``--once`` prints a single plain snapshot and
 exits — the CI-safe mode.
 
-``--workers N`` switches to the multi-worker dashboard: N real OS
-processes run the workload over shared-memory metric slabs
-(:mod:`repro.obs.multiproc`) while this process renders one pane per
-worker — throughput, stage clocks, queue depth, breaker state — plus an
-aggregate row, all read live from the slabs.  ``--json`` prints one
-machine-readable snapshot (per-worker + aggregate + the ingress
-conservation identity) instead of a screen and exits nonzero if the
-identities are violated — the CI hook.  ``--dump-dir`` collects each
-worker's flight-recorder dump on exit, ready for
-``python -m repro flightrec merge``.
+``--json`` prints one machine-readable snapshot (the process as pane
+``0``, the aggregate, the ingress conservation identity) instead of a
+screen and exits nonzero if the identities are violated — the CI hook.
+``--dump-dir`` writes the flight-recorder dump on exit, ready for
+``python -m repro flightrec merge``.  The per-process panes of the real
+multi-process plane come from ``python -m repro run``, which renders
+them with :func:`render_fleet` from each worker's metric slab.
 
 Keybindings: ``q`` + Enter quits (plain line-buffered stdin — no
 terminal mode fiddling); Ctrl-C always works.  ``--scenario`` watches a
@@ -226,7 +223,7 @@ class TopView:
 
 
 # ----------------------------------------------------------------------
-# Multi-worker summaries.  Everything below reads *registries only* — no
+# Per-process summaries.  Everything below reads *registries only* — no
 # tracer or recorder objects — so it works identically on the
 # live in-process registry and on snapshots read out of another
 # process's shared-memory slab, where no such objects exist on this side
@@ -288,7 +285,7 @@ def ingress_identity(registry: MetricsRegistry) -> Dict[str, object]:
 
 
 def registry_summary(registry: MetricsRegistry) -> Dict[str, object]:
-    """One worker's machine-readable panel, from its registry alone."""
+    """One process's machine-readable panel, from its registry alone."""
     received = registry.total(names.ROUTER_RECEIVED_PACKETS)
     forwarded = registry.total(names.ROUTER_FORWARDED_PACKETS)
     dropped = registry.total(names.ROUTER_DROPPED_PACKETS)
@@ -318,7 +315,7 @@ def registry_summary(registry: MetricsRegistry) -> Dict[str, object]:
 def fleet_snapshot(
     per_worker: Dict[int, MetricsRegistry], aggregate: MetricsRegistry,
 ) -> Dict[str, object]:
-    """The ``--json`` payload: per-worker panes, aggregate, identity."""
+    """``top --json``: one pane per process, aggregate, identity."""
     return {
         "schema": 1,
         "workers": {
@@ -351,20 +348,20 @@ def _fleet_row(tag: str, summary: Dict[str, object]) -> str:
 
 
 def render_fleet(
-    per_worker: Dict[int, MetricsRegistry],
+    panes: Dict[object, MetricsRegistry],
     aggregate: MetricsRegistry,
-    title: str = "repro top — workers",
-    pps: float = 0.0,
+    title: str = "processes",
 ) -> str:
-    """One screen: a pane row per worker plus the aggregate row."""
+    """A pane row per process (``w<id>`` for workers) plus the aggregate."""
     width = 78
-    lines = [f"{title}  —  q + Enter or Ctrl-C to quit", "=" * width]
+    lines = [title, "=" * width]
     lines.append(
         f"{'':<6} {'rx':>8} {'fwd':>7} {'drop':>7} {'slow':>7}"
         f" {'shed':>7} {'depth':>6} {'slowest p99':>18} {'brk':>5}"
     )
-    for wid, registry in sorted(per_worker.items()):
-        lines.append(_fleet_row(f"w{wid}", registry_summary(registry)))
+    for name, registry in panes.items():
+        tag = f"w{name}" if str(name).isdigit() else str(name)
+        lines.append(_fleet_row(tag, registry_summary(registry)))
     lines.append("-" * width)
     lines.append(_fleet_row("all", registry_summary(aggregate)))
     identity = ingress_identity(aggregate)
@@ -374,7 +371,6 @@ def render_fleet(
         f" + shed {_si(identity['rx_shed'])}"
         f" + received {_si(identity['received'])}"
         f"   {'ok' if identity['ok'] else 'VIOLATED'}"
-        + (f"   {_si(pps)} pkt/s" if pps else "")
     )
     return "\n".join(lines) + "\n"
 
@@ -425,83 +421,6 @@ class _ChaosRunner:
         self._run(self.scenario, seed=self.seed, packets=self.packets)
         self.seed += 1
         return self.packets
-
-
-def _fleet_main(args) -> int:
-    """``--workers N``: supervise a fleet and render/report it.
-
-    Exit status is nonzero when any worker fails or the merged ingress
-    identity is violated — the CI smoke job asserts on this alone.
-    """
-    import json
-
-    from repro.obs.multiproc import WorkerFleet, WorkerSpec
-
-    one_shot = args.once or args.json
-    iterations = args.iterations or (1 if one_shot else 0)
-    spec = WorkerSpec(
-        app=args.app,
-        scenario=args.scenario,
-        packets=args.packets,
-        seed=args.seed,
-        iterations=iterations,
-        interval=0.0 if one_shot else args.interval,
-    )
-    title = (
-        f"repro top — {args.workers} workers — "
-        f"{args.scenario or args.app + ' forwarding'}"
-    )
-    fleet = WorkerFleet(args.workers, spec, dump_dir=args.dump_dir)
-    try:
-        fleet.start()
-        if iterations:
-            fleet.join(timeout=120.0)
-        else:
-            last_received = 0.0
-            last_ns = time.perf_counter_ns()
-            try:
-                while fleet.alive():
-                    aggregate = fleet.aggregate()
-                    now = time.perf_counter_ns()
-                    received = aggregate.total(names.ROUTER_RECEIVED_PACKETS)
-                    pps = (
-                        (received - last_received) * 1e9
-                        / max(1, now - last_ns)
-                    )
-                    last_received, last_ns = received, now
-                    screen = render_fleet(
-                        fleet.per_worker(), aggregate, title=title, pps=pps,
-                    )
-                    sys.stdout.write(ANSI_CLEAR + screen)
-                    sys.stdout.flush()
-                    if _quit_requested():
-                        break
-                    time.sleep(args.interval)
-            except KeyboardInterrupt:
-                sys.stdout.write("\n")
-        fleet.request_stop()
-        fleet.join(timeout=10.0)
-        # Snapshots are plain registries (copied out of the slabs), so
-        # they stay valid after the segments are unlinked below.
-        per_worker = fleet.per_worker()
-        aggregate = fleet.aggregate()
-        exitcodes = fleet.exitcodes()
-    finally:
-        fleet.request_stop()
-        fleet.join(timeout=10.0)
-        fleet.close()
-    identity = ingress_identity(aggregate)
-    status = 0
-    if not identity["ok"] or any(code != 0 for code in exitcodes):
-        status = 1
-    if args.json:
-        snapshot = fleet_snapshot(per_worker, aggregate)
-        snapshot["exitcodes"] = exitcodes
-        snapshot["dumps"] = [str(path) for path in fleet.dump_paths()]
-        sys.stdout.write(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(render_fleet(per_worker, aggregate, title=title))
-    return status
 
 
 def _quit_requested() -> bool:
@@ -558,26 +477,19 @@ def top_main(argv=None) -> int:
         "--seed", type=int, default=1, help="workload seed (default: 1)",
     )
     parser.add_argument(
-        "--workers", type=int, default=0,
-        help="run N worker processes over shared-memory metric slabs and "
-        "render the multi-worker dashboard (default: 0 = in-process)",
-    )
-    parser.add_argument(
         "--json", action="store_true",
-        help="print one machine-readable snapshot (per-worker panes, "
-        "aggregate, ingress identity) instead of a screen; exits nonzero "
-        "if the conservation identities are violated",
+        help="print one machine-readable snapshot (the process as pane "
+        "0, aggregate, ingress identity) instead of a screen; exits "
+        "nonzero if the conservation identities are violated",
     )
     parser.add_argument(
         "--dump-dir", default=None,
-        help="directory for per-worker flight-recorder dumps on exit "
+        help="directory for the flight-recorder dump on exit "
         "(input for `python -m repro flightrec merge`)",
     )
     args = parser.parse_args(argv)
     if args.packets <= 0:
         parser.error("packets must be positive")
-    if args.workers < 0:
-        parser.error("workers must be >= 0")
     if args.scenario is not None:
         from repro.faults.scenarios import SCENARIOS
 
@@ -586,8 +498,6 @@ def top_main(argv=None) -> int:
                 f"unknown scenario {args.scenario!r} "
                 f"(choose from {', '.join(sorted(SCENARIOS))})"
             )
-    if args.workers:
-        return _fleet_main(args)
     reset_registry()
     reset_flightrec()
     reset_tracer()

@@ -10,6 +10,15 @@ smoke job asserts on the exit status alone.
 worker, one master, descriptors over queues); ``--inprocess`` runs the
 sequential reference decomposition instead, for quick differential
 checks without forking.
+
+Before the plane unlinks its segments, each worker's metric slab is
+snapshotted; with the master's own registry (this run only) they make
+the per-process panes of ``repro top``'s renderer: one per worker, one
+for the master, an aggregate row and the merged identity (``"processes"``
+in ``--json``).  The panes are a second accounting channel, so each
+worker pane must agree with that worker's report and the aggregate with
+the merged totals, or the run exits 1.  ``--inprocess`` shows its single
+process as pane ``0``.
 """
 
 from __future__ import annotations
@@ -19,7 +28,25 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.shard.plane import PlaneSpec, run_plane, run_plane_inprocess
+from repro.obs import (
+    MetricsRegistry,
+    get_registry,
+    merge_into,
+    read_slab,
+    reset_flightrec,
+    reset_registry,
+    reset_tracer,
+)
+from repro.obs.top import ingress_identity, registry_summary, render_fleet
+from repro.shard.plane import (
+    PlaneReport,
+    PlaneSpec,
+    ShardedDataPlane,
+    run_plane_inprocess,
+)
+
+#: The verdict fields both accounting channels carry.
+VERDICTS = ("received", "forwarded", "dropped", "slow_path")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,6 +89,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_with_panes(spec: PlaneSpec, inprocess: bool = False):
+    """(report, pane registries by name, aggregate) for one run.
+
+    Resets the process-global registry, flight recorder and tracer
+    first, so the ``master`` pane (or the in-process pane ``0``) counts
+    this run only.
+    """
+    reset_registry()
+    reset_flightrec()
+    reset_tracer()
+    if inprocess:
+        report = run_plane_inprocess(spec)
+        panes = {"0": get_registry()}
+    else:
+        with ShardedDataPlane(spec) as plane:
+            report = plane.run()
+            # Snapshots are plain registries: they outlive the unlink.
+            panes = {
+                str(wid): read_slab(slab)
+                for wid, slab in enumerate(plane.slabs)
+            }
+        panes["master"] = get_registry()
+    aggregate = MetricsRegistry()
+    for registry in panes.values():
+        merge_into(aggregate, registry)
+    return report, panes, aggregate
+
+
+def accounting_mismatches(report: PlaneReport, processes: dict,
+                          per_worker: bool) -> List[str]:
+    """Where the slab panes disagree with the workers' reports."""
+    pairs = [("aggregate", processes["aggregate"], report.verdict_totals())]
+    if per_worker:
+        pairs += [
+            (f"worker {w.worker_id}", processes[str(w.worker_id)], vars(w))
+            for w in report.workers
+        ]
+    problems = []
+    for name, pane, reported in pairs:
+        pane = {key: pane[key] for key in VERDICTS}
+        reported = {key: reported[key] for key in VERDICTS}
+        if pane != reported:
+            problems.append(f"{name}: panes {pane} != report {reported}")
+    return problems
+
+
 def run_main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.workers < 1:
@@ -76,16 +149,23 @@ def run_main(argv: Optional[List[str]] = None) -> int:
         num_routes=args.num_routes,
         dump_dir=args.dump_dir,
     )
-    report = (
-        run_plane_inprocess(spec) if args.inprocess else run_plane(spec)
+    try:
+        report, panes, aggregate = run_with_panes(spec, args.inprocess)
+    except RuntimeError as exc:  # the master's named worker failures
+        print(f"run: {exc}", file=sys.stderr)
+        return 1
+    processes = {name: registry_summary(r) for name, r in panes.items()}
+    processes["aggregate"] = registry_summary(aggregate)
+    processes["identity"] = ingress_identity(aggregate)
+    failed = [w.worker_id for w in report.workers if w.exitcode != 0]
+    mismatches = accounting_mismatches(
+        report, processes, per_worker=not args.inprocess
     )
-    failed = [
-        w.worker_id for w in report.workers if w.exitcode not in (0, None)
-    ] + [
-        w.worker_id for w in report.workers if w.exitcode is None
-    ]
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(
+            {**report.to_dict(), "processes": processes},
+            indent=2, sort_keys=True,
+        ))
     else:
         mode = "in-process" if args.inprocess else "multi-process"
         print(f"repro run — {args.app} on {args.workers} shards ({mode})")
@@ -109,10 +189,18 @@ def run_main(argv: Optional[List[str]] = None) -> int:
             "  conservation "
             + ("OK" if report.conservation_ok else "VIOLATED")
         )
+        print(render_fleet(panes, aggregate, title="processes"), end="")
     if failed:
-        print(f"run: workers failed: {sorted(set(failed))}", file=sys.stderr)
+        print(f"run: workers failed: {failed}", file=sys.stderr)
         return 1
     if not report.conservation_ok:
         print("run: merged ingress identity violated", file=sys.stderr)
+        return 1
+    if mismatches:
+        print(
+            "run: slab and report accounting disagree: "
+            + "; ".join(mismatches),
+            file=sys.stderr,
+        )
         return 1
     return 0

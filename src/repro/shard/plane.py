@@ -19,7 +19,7 @@ router makes over PCIe.
 Topology and protocol:
 
 * the parent creates every shared segment up front (metric slabs,
-  chunk pools) and owns their unlink — the PR 9 fleet lifecycle;
+  chunk pools) and owns their unlink; workers only attach;
 * one shared ``submit_queue`` carries chunks worker -> master (the
   paper's fairness FIFO), per-worker ``result_queues`` carry them back
   (the scatter side's 1-to-1 queues);
@@ -29,7 +29,12 @@ Topology and protocol:
 * a worker signals completion with a ``("done", worker_id)`` sentinel
   after a blocking transport flush, then reports its totals on the
   report queue; the master exits once every worker is done and the
-  submit queue is drained.
+  submit queue is drained;
+* the master never reads the shared submit queue itself: a pump thread
+  does, so a worker killed halfway through writing a chunk (the reader
+  then blocks forever on the missing bytes) stalls only that thread,
+  and the master, still polling worker exit codes, raises a named
+  error instead of hanging.
 
 :func:`run_plane_inprocess` runs the identical shard decomposition
 sequentially in one process — the reference the differential suite
@@ -39,7 +44,10 @@ compares the multi-process plane against, packet for packet.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue as _stdlib_queue
+import threading
+import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -276,6 +284,30 @@ def _pool_chunks(router, pool: ShmChunkPool, frames, worker_id: int):
     ]
 
 
+def worker_session() -> str:
+    """A collision-free segment session name for this supervising process."""
+    return f"repro-shard-{os.getpid():x}"
+
+
+def _is_done(item) -> bool:
+    return isinstance(item, tuple) and bool(item) and item[0] == "done"
+
+
+def _pump(submit_queue, inbox: _stdlib_queue.Queue, workers: int) -> None:
+    """Master-side thread: move submit-queue items into ``inbox``.
+
+    Exits after the last worker's done sentinel.  If a worker died
+    halfway through writing a message this thread blocks forever on
+    the missing bytes; it is a daemon, so only it is lost, and the
+    master loop names the dead worker.
+    """
+    done = 0
+    while done < workers:
+        item = submit_queue.get()
+        inbox.put(item)
+        done += _is_done(item)
+
+
 def _plane_worker_main(session: str, worker_id: int, spec: PlaneSpec,
                        submit_queue, result_queue, report_queue) -> None:
     """One worker process: obs stack, pool, router, bursts, report."""
@@ -333,6 +365,8 @@ class ShardedDataPlane:
 
     #: Seconds of master-side silence that mean a worker died.
     MASTER_TIMEOUT = 60.0
+    #: Seconds between worker exit-code checks while no work arrives.
+    POLL_INTERVAL = 0.1
 
     def __init__(self, spec: PlaneSpec,
                  session: Optional[str] = None,
@@ -340,9 +374,7 @@ class ShardedDataPlane:
         if spec.workers < 1:
             raise ValueError("workers must be >= 1")
         self.spec = spec
-        from repro.obs.multiproc import worker_session
-
-        self.session = session or worker_session("repro-shard")
+        self.session = session or worker_session()
         methods = multiprocessing.get_all_start_methods()
         method = start_method or ("fork" if "fork" in methods else "spawn")
         self._ctx = multiprocessing.get_context(method)
@@ -410,35 +442,24 @@ class ShardedDataPlane:
         # here — identical copies, built from the same seed.
         app, _ = _build_app(self.spec)
         gather = _worker_config().effective_gather_chunks()
+        inbox: _stdlib_queue.Queue = _stdlib_queue.Queue()
+        threading.Thread(
+            target=_pump, args=(self.submit_queue, inbox, self.spec.workers),
+            name="repro-master-pump", daemon=True,
+        ).start()
         done: set = set()
         while len(done) < self.spec.workers:
             batch = []
-            try:
-                item = self.submit_queue.get(timeout=self.MASTER_TIMEOUT)
-            except _stdlib_queue.Empty:
-                dead = [
-                    f"{proc.name} (exitcode {proc.exitcode})"
-                    for proc in self.procs
-                    if proc.exitcode is not None
-                ]
-                detail = (
-                    f"dead worker(s): {', '.join(dead)}"
-                    if dead else "all workers still alive but silent"
-                )
-                raise RuntimeError(
-                    f"master: no chunk or done sentinel for "
-                    f"{self.MASTER_TIMEOUT:.0f}s with {len(done)}/"
-                    f"{self.spec.workers} workers done; {detail}"
-                ) from None
+            item = self._next_item(inbox, done)
             while True:
-                if isinstance(item, tuple) and item and item[0] == "done":
+                if _is_done(item):
                     done.add(item[1])
                 else:
                     batch.append(item)
                 if len(batch) >= gather or len(done) >= self.spec.workers:
                     break
                 try:
-                    item = self.submit_queue.get_nowait()
+                    item = inbox.get_nowait()
                 except _stdlib_queue.Empty:
                     break
             if not batch:
@@ -460,6 +481,41 @@ class ShardedDataPlane:
                     chunk.gpu_output = result.output
                     chunk.service_ns += result.total_ns
                 scatter_chunk(self.result_queues[chunk.worker_id], chunk)
+
+    def _next_item(self, inbox: _stdlib_queue.Queue, done: set):
+        """Block for the next submit-queue item, watching the workers.
+
+        While the inbox stays empty, every ``POLL_INTERVAL`` checks for
+        workers that exited without their done sentinel.  One sighting
+        could race the pump still moving that sentinel, so the error
+        needs a dead worker on two polls in a row; a run silent for
+        ``MASTER_TIMEOUT`` with every worker alive is an error too.
+        """
+        wait = min(self.POLL_INTERVAL, self.MASTER_TIMEOUT)
+        silent_since = time.monotonic()
+        seen_dead = False
+        while True:
+            try:
+                return inbox.get(timeout=wait)
+            except _stdlib_queue.Empty:
+                pass
+            dead = [
+                f"{proc.name} (exitcode {proc.exitcode})"
+                for wid, proc in enumerate(self.procs)
+                if proc.exitcode is not None and wid not in done
+            ]
+            silent = time.monotonic() - silent_since
+            if (dead and seen_dead) or silent >= self.MASTER_TIMEOUT:
+                detail = (
+                    f"dead worker(s): {', '.join(dead)}"
+                    if dead else "all workers still alive but silent"
+                )
+                raise RuntimeError(
+                    f"master: no chunk or done sentinel for {silent:.1f}s "
+                    f"(timeout {self.MASTER_TIMEOUT}s) with {len(done)}/"
+                    f"{self.spec.workers} workers done; {detail}"
+                )
+            seen_dead = bool(dead)
 
     def collect(self) -> PlaneReport:
         """Join workers and assemble the merged report."""
@@ -505,6 +561,11 @@ class ShardedDataPlane:
                 proc.terminate()
         for proc in self.procs:
             proc.join(timeout=5.0)
+        # A worker that died never drains its result pipe; a feeder
+        # thread still writing to it must not block interpreter exit.
+        # Healthy workers have read every result by their done sentinel.
+        for result_queue in self.result_queues:
+            result_queue.cancel_join_thread()
         self.close()
 
     def run(self) -> PlaneReport:

@@ -226,3 +226,11 @@ class TestTopJson:
     def test_negative_workers_rejected(self):
         with pytest.raises(SystemExit):
             top_main(["--workers", "-1", "--once"])
+
+    def test_workers_option_is_gone(self, capsys):
+        """Per-process panes come from ``repro run``; ``top`` is always
+        one process, so argparse rejects ``--workers``."""
+        with pytest.raises(SystemExit) as exit_info:
+            top_main(["--workers", "2", "--once"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.shard.cli import run_main
+from repro.shard.cli import VERDICTS, run_main
 
 SMALL = ["--packets", "128", "--bursts", "2", "--num-routes", "512"]
 
@@ -52,3 +52,71 @@ class TestMultiProcess:
             lines = path.read_text().splitlines()
             assert lines  # each worker recorded events
             json.loads(lines[0])
+
+
+class TestProcessPanes:
+    """``run`` shows the real plane's per-process panes and checks them
+    against the workers' reports."""
+
+    def test_json_panes_match_reports_field_for_field(self, capsys, tmp_path):
+        assert run_main([
+            "--workers", "2", "--json", "--dump-dir", str(tmp_path), *SMALL,
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        processes = report["processes"]
+        assert sorted(processes) == [
+            "0", "1", "aggregate", "identity", "master",
+        ]
+        assert processes["identity"]["ok"] is True
+        for worker in report["workers"]:
+            pane = processes[str(worker["worker_id"])]
+            assert {k: pane[k] for k in VERDICTS} == {
+                k: worker[k] for k in VERDICTS
+            }
+            assert {"pre_shade", "post_shade"} <= set(pane["stages"])
+        assert {k: processes["aggregate"][k] for k in VERDICTS} == (
+            report["totals"]
+        )
+        assert "gpu" in processes["master"]["stages"]
+        assert processes["master"]["received"] == 0
+        assert len(list(tmp_path.glob("flightrec-w*.jsonl"))) == 2
+
+    def test_text_renders_one_row_per_process(self, capsys):
+        assert run_main(["--workers", "2", *SMALL]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split()[0] for line in out.splitlines() if line]
+        for tag in ("w0", "w1", "master", "all", "identity"):
+            assert tag in rows
+        assert "VIOLATED" not in out
+
+    def test_inprocess_is_pane_zero(self, capsys):
+        assert run_main(["--inprocess", "--json", *SMALL]) == 0
+        processes = json.loads(capsys.readouterr().out)["processes"]
+        assert sorted(processes) == ["0", "aggregate", "identity"]
+        assert processes["0"]["received"] == 256
+
+    def test_slab_report_mismatch_exits_one(self, capsys, monkeypatch):
+        import repro.shard.cli as cli
+        from repro.obs import names
+
+        def skewed(slab):
+            registry = cli.read_slab.__wrapped__(slab)
+            registry.counter(names.ROUTER_RECEIVED_PACKETS).inc()
+            return registry
+
+        skewed.__wrapped__ = cli.read_slab
+        monkeypatch.setattr(cli, "read_slab", skewed)
+        assert run_main(["--workers", "2", "--json", *SMALL]) == 1
+        err = capsys.readouterr().err
+        assert "slab and report accounting disagree" in err
+        assert "worker 0" in err and "aggregate" in err
+
+    def test_master_failure_is_a_named_exit_one(self, capsys, monkeypatch):
+        from repro.shard.plane import ShardedDataPlane
+
+        def dead(plane):
+            raise RuntimeError("master: dead worker(s): repro-shard-0")
+
+        monkeypatch.setattr(ShardedDataPlane, "serve_master", dead)
+        assert run_main(["--workers", "2", *SMALL]) == 1
+        assert "run: master: dead worker(s)" in capsys.readouterr().err
